@@ -36,7 +36,7 @@ func run() error {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	tenant := flag.String("tenant", "demo-health", "tenant name")
 	ledger := flag.Bool("ledger", true, "run the provenance blockchain")
-	ledgerBatch := flag.Bool("ledger-batch", false, "group-commit provenance batching (max 64 tx / 5 ms window)")
+	ledgerBatch := flag.Bool("ledger-batch", false, "group-commit provenance batching (a lone tx commits at once; arrivals during a commit form the next group, max 64 tx)")
 	channels := flag.Int("channels", 1, "provenance ledger channels (1 = single ledger; >1 partitions records by patient across independently ordered channels)")
 	snapEvery := flag.Int("ledger-snapshot-every", 0, "cut a ledger world-state snapshot into the WAL every K blocks so restarts replay from the snapshot instead of the full chain (0 disables)")
 	obs := flag.Bool("telemetry", true, "serve metrics at /metrics and traces at /traces/{id}")

@@ -13,16 +13,10 @@ import (
 // ErrBatcherClosed is returned by Submit/SubmitCtx after Close.
 var ErrBatcherClosed = errors.New("blockchain: batcher closed")
 
-// BatcherConfig tunes the group-commit window.
+// BatcherConfig sizes the group-commit writer.
 type BatcherConfig struct {
-	// MaxBatch is the largest group committed at once (default 64). An
-	// enqueue that fills the window triggers an immediate commit.
+	// MaxBatch is the largest group committed at once (default 64).
 	MaxBatch int
-	// MaxDelay is how long the committer waits for stragglers after the
-	// first enqueue of a window (default 5ms). Zero keeps a tiny default
-	// rather than busy-committing singletons; use a negative value to
-	// commit immediately without a window (tests).
-	MaxDelay time.Duration
 	// Registry/Tracer instrument the batcher (either may be nil).
 	Registry *telemetry.Registry
 	Tracer   *telemetry.Tracer
@@ -31,9 +25,6 @@ type BatcherConfig struct {
 func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 5 * time.Millisecond
 	}
 	return c
 }
@@ -68,13 +59,16 @@ type pendingTx struct {
 }
 
 // Batcher is a group-commit ledger writer: concurrent producers enqueue
-// single transactions, a committer goroutine coalesces them under a
-// size/time window into one SubmitGroupCtx call, and the result is
-// fanned back to every waiter. Per-caller semantics are unchanged — each
-// Submit returns its transaction's own success or failure — while
-// endorsement and ordering cost is amortized across the group
-// (experiment E17). It satisfies the same contract as Network.Submit /
-// SubmitCtx, so ingest can use either interchangeably.
+// single transactions and a committer goroutine commits whatever is
+// queued the moment the previous commit returns: a lone transaction on
+// an idle batcher commits at once, and arrivals during an in-flight
+// commit form the next group (one SubmitGroupCtx call, result fanned
+// back to every waiter). There is no timer — group size follows load.
+// Per-caller semantics are unchanged — each Submit returns its
+// transaction's own success or failure — while endorsement and ordering
+// cost is amortized across the group (experiment E17). It satisfies the
+// same contract as Network.Submit / SubmitCtx, so ingest can use either
+// interchangeably.
 type Batcher struct {
 	net *Network
 	cfg BatcherConfig
@@ -217,8 +211,9 @@ func (b *Batcher) Close() {
 	<-b.doneCh
 }
 
-// run is the committer loop: sleep until kicked, give stragglers the
-// MaxDelay window, then commit in MaxBatch-sized groups.
+// run is the committer loop: sleep until kicked, then commit everything
+// queued in MaxBatch-sized groups. Enqueues during a commit leave the
+// doorbell rung, so the next round picks them up as one group.
 func (b *Batcher) run() {
 	defer close(b.doneCh)
 	for {
@@ -230,29 +225,7 @@ func (b *Batcher) run() {
 			b.Flush()
 			return
 		case <-b.kick:
-		}
-		b.window()
-		b.Flush()
-	}
-}
-
-// window waits for the batch to fill, the MaxDelay to expire, or stop.
-func (b *Batcher) window() {
-	if b.cfg.MaxDelay < 0 || b.QueueDepth() >= b.cfg.MaxBatch {
-		return
-	}
-	timer := time.NewTimer(b.cfg.MaxDelay)
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-			return
-		case <-b.stopCh:
-			return
-		case <-b.kick:
-			if b.QueueDepth() >= b.cfg.MaxBatch {
-				return
-			}
+			b.Flush()
 		}
 	}
 }

@@ -3,6 +3,7 @@ package blockchain
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -45,12 +46,190 @@ func submitN(t *testing.T, b *Batcher, n, workers int) []string {
 	return ids
 }
 
+// holdGate is an endorsement rule that parks every transaction marked
+// Meta["hold"] until release is closed. Submitting one keeps a commit in
+// flight for as long as the test wants, so later submissions must queue
+// behind it — the batcher has no timer to park them with.
+type holdGate struct {
+	entered  chan struct{} // closed when a held endorsement first blocks
+	release  chan struct{}
+	once     sync.Once
+	onceOpen sync.Once
+}
+
+// open releases every held endorsement. Idempotent, so tests defer it
+// (after deferring Batcher.Close) to keep a failed test from hanging.
+func (g *holdGate) open() { g.onceOpen.Do(func() { close(g.release) }) }
+
+func newHoldGate() *holdGate {
+	return &holdGate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *holdGate) validate(tx *Transaction) error {
+	if tx.Meta["hold"] == "yes" {
+		g.once.Do(func() { close(g.entered) })
+		<-g.release
+	}
+	return nil
+}
+
+// holdCommit submits a held transaction and returns once its commit is
+// in flight; the returned channel yields that Submit's result.
+func (g *holdGate) holdCommit(t *testing.T, b *Batcher) <-chan error {
+	t.Helper()
+	res := make(chan error, 1)
+	tx := NewTransaction(EventDataReceipt, "svc", "held", nil, map[string]string{"hold": "yes"})
+	go func() { res <- b.Submit(tx, testTimeout) }()
+	select {
+	case <-g.entered:
+	case <-time.After(testTimeout):
+		t.Fatal("held commit never reached endorsement")
+	}
+	return res
+}
+
+// queueBehind submits txs concurrently and returns once all of them sit
+// in the batcher's queue; wait collects their results.
+func queueBehind(t *testing.T, b *Batcher, txs []Transaction) (wait func() []error) {
+	t.Helper()
+	errs := make([]error, len(txs))
+	var wg sync.WaitGroup
+	for i, tx := range txs {
+		wg.Add(1)
+		go func(i int, tx Transaction) {
+			defer wg.Done()
+			errs[i] = b.Submit(tx, testTimeout)
+		}(i, tx)
+	}
+	deadline := time.Now().Add(testTimeout)
+	for b.QueueDepth() < len(txs) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if d := b.QueueDepth(); d != len(txs) {
+		t.Fatalf("queue depth %d, want %d", d, len(txs))
+	}
+	return func() []error { wg.Wait(); return errs }
+}
+
+func receipts(n int) []Transaction {
+	txs := make([]Transaction, n)
+	for i := range txs {
+		txs[i] = NewTransaction(EventDataReceipt, "svc", fmt.Sprintf("h-%d", i), nil, nil)
+	}
+	return txs
+}
+
+func median(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
+}
+
+// TestBatcherLoneSubmitCommitsAtOnce pins natural group commit's idle
+// case: a transaction arriving at an idle batcher is committed alone,
+// immediately. Each sequential Submit is its own commit, and its latency
+// is the network's own (interleaved direct submits, compared by median) —
+// a batch timer of the old 5 ms default would show as the difference.
+func TestBatcherLoneSubmitCommitsAtOnce(t *testing.T) {
+	n := newTestNetwork(t, 3, 2)
+	b := NewBatcher(n, BatcherConfig{})
+	defer b.Close()
+
+	const rounds = 21
+	var direct, batched []time.Duration
+	for i := 0; i < rounds; i++ {
+		start := time.Now()
+		if err := n.Submit(NewTransaction(EventDataReceipt, "svc", "d", nil, nil), testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		direct = append(direct, time.Since(start))
+		start = time.Now()
+		if err := b.Submit(NewTransaction(EventDataReceipt, "svc", "b", nil, nil), testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		batched = append(batched, time.Since(start))
+	}
+	if st := b.Stats(); st.Commits != rounds || st.Txs != rounds {
+		t.Errorf("stats = %+v, want %d singleton commits", st, rounds)
+	}
+	if d, bt := median(direct), median(batched); bt > d+3*time.Millisecond {
+		t.Errorf("lone batched submit median %v vs direct %v: something is waiting on a timer", bt, d)
+	}
+}
+
+// TestBatcherGroupsBehindInflightCommit pins the loaded case: K
+// submitters that arrive while a commit is in flight land in ONE group
+// of K, split only by MaxBatch.
+func TestBatcherGroupsBehindInflightCommit(t *testing.T) {
+	for _, tc := range []struct {
+		maxBatch, k int
+		commits     uint64 // the held singleton + ceil(k/maxBatch) groups
+	}{
+		{maxBatch: 64, k: 5, commits: 2},
+		{maxBatch: 3, k: 5, commits: 3},
+	} {
+		t.Run(fmt.Sprintf("max%d", tc.maxBatch), func(t *testing.T) {
+			gate := newHoldGate()
+			n := newTestNetwork(t, 3, 2, WithValidation(gate.validate))
+			b := NewBatcher(n, BatcherConfig{MaxBatch: tc.maxBatch})
+			defer b.Close()
+			defer gate.open()
+
+			held := gate.holdCommit(t, b)
+			wait := queueBehind(t, b, receipts(tc.k))
+			gate.open()
+			if err := <-held; err != nil {
+				t.Fatalf("held submit: %v", err)
+			}
+			for i, err := range wait() {
+				if err != nil {
+					t.Errorf("queued submit %d: %v", i, err)
+				}
+			}
+			st := b.Stats()
+			if st.Commits != tc.commits || st.Txs != uint64(tc.k+1) || st.Fallbacks != 0 {
+				t.Errorf("stats = %+v, want %d commits of %d txs", st, tc.commits, tc.k+1)
+			}
+		})
+	}
+}
+
+// TestBatcherFlushDrainsQueue proves Flush commits everything queued on
+// the caller's goroutine, even while the committer is busy with an
+// in-flight commit.
+func TestBatcherFlushDrainsQueue(t *testing.T) {
+	gate := newHoldGate()
+	n := newTestNetwork(t, 3, 2, WithValidation(gate.validate))
+	b := NewBatcher(n, BatcherConfig{})
+	defer b.Close()
+	defer gate.open()
+
+	held := gate.holdCommit(t, b)
+	txs := receipts(4)
+	wait := queueBehind(t, b, txs)
+	b.Flush() // the held commit is still parked: only Flush can have committed these
+	for i, err := range wait() {
+		if err != nil {
+			t.Errorf("flushed submit %d: %v", i, err)
+		}
+	}
+	p, _ := n.Peer("peer-0")
+	for _, tx := range txs {
+		if !p.Ledger().Committed(tx.ID) {
+			t.Errorf("tx %s not committed by Flush", tx.ID)
+		}
+	}
+	gate.open()
+	if err := <-held; err != nil {
+		t.Fatalf("held submit: %v", err)
+	}
+}
+
 // TestBatcherStress hammers the batcher from 16 goroutines and asserts
 // exactly-once ledger semantics: every submitted transaction is
 // committed on every peer, none twice, none lost.
 func TestBatcherStress(t *testing.T) {
 	n := newTestNetwork(t, 3, 2)
-	b := NewBatcher(n, BatcherConfig{MaxBatch: 64, MaxDelay: 2 * time.Millisecond})
+	b := NewBatcher(n, BatcherConfig{MaxBatch: 64})
 	defer b.Close()
 
 	const total, workers = 200, 16
@@ -122,31 +301,30 @@ func TestBatcherGroupEndorsementVerified(t *testing.T) {
 // group cannot fail its neighbors: the batcher falls back to individual
 // submission and only the poison waiter gets the error.
 func TestBatcherPoisonFallback(t *testing.T) {
+	gate := newHoldGate()
 	reject := func(tx *Transaction) error {
 		if tx.Meta["poison"] == "yes" {
 			return errors.New("business rule says no")
 		}
-		return nil
+		return gate.validate(tx)
 	}
 	n := newTestNetwork(t, 3, 2, WithValidation(reject))
-	// A long window so all three submissions land in one group.
-	b := NewBatcher(n, BatcherConfig{MaxBatch: 3, MaxDelay: time.Minute})
+	b := NewBatcher(n, BatcherConfig{MaxBatch: 3})
 	defer b.Close()
+	defer gate.open()
 
 	good1 := NewTransaction(EventDataReceipt, "svc", "g1", nil, nil)
 	poison := NewTransaction(EventDataReceipt, "svc", "p", nil, map[string]string{"poison": "yes"})
 	good2 := NewTransaction(EventDataReceipt, "svc", "g2", nil, nil)
 
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, tx := range []Transaction{good1, poison, good2} {
-		wg.Add(1)
-		go func(i int, tx Transaction) {
-			defer wg.Done()
-			errs[i] = b.Submit(tx, testTimeout)
-		}(i, tx)
+	// Queue all three behind an in-flight commit so they form one group.
+	held := gate.holdCommit(t, b)
+	wait := queueBehind(t, b, []Transaction{good1, poison, good2})
+	gate.open()
+	if err := <-held; err != nil {
+		t.Fatalf("held submit: %v", err)
 	}
-	wg.Wait()
+	errs := wait()
 
 	if errs[0] != nil || errs[2] != nil {
 		t.Errorf("good txs failed alongside poison: %v / %v", errs[0], errs[2])
@@ -161,11 +339,8 @@ func TestBatcherPoisonFallback(t *testing.T) {
 	if p.Ledger().Committed(poison.ID) {
 		t.Error("poison tx committed")
 	}
-	// At least one fallback: normally the three submissions coalesce into
-	// one poisoned group, but scheduling can split them across groups and
-	// each poisoned group falls back once.
-	if st := b.Stats(); st.Fallbacks < 1 {
-		t.Errorf("fallbacks = %d, want >= 1", st.Fallbacks)
+	if st := b.Stats(); st.Fallbacks != 1 {
+		t.Errorf("fallbacks = %d, want exactly 1 (one poisoned group of 3)", st.Fallbacks)
 	}
 }
 
@@ -173,41 +348,32 @@ func TestBatcherPoisonFallback(t *testing.T) {
 // transaction and signals every waiter — nothing is dropped or left
 // hanging at shutdown.
 func TestBatcherCloseDrains(t *testing.T) {
-	n := newTestNetwork(t, 3, 2)
-	// Pathological window: without the close-time drain these waiters
-	// would block for an hour.
-	b := NewBatcher(n, BatcherConfig{MaxBatch: 1000, MaxDelay: time.Hour})
+	gate := newHoldGate()
+	n := newTestNetwork(t, 3, 2, WithValidation(gate.validate))
+	b := NewBatcher(n, BatcherConfig{})
+	defer gate.open()
 
+	// Eight waiters queued behind an in-flight commit when Close arrives.
 	const total = 8
-	errs := make([]error, total)
+	txs := receipts(total)
 	ids := make([]string, total)
-	var wg sync.WaitGroup
-	for i := 0; i < total; i++ {
-		tx := NewTransaction(EventDataReceipt, "svc", fmt.Sprintf("h-%d", i), nil, nil)
+	for i, tx := range txs {
 		ids[i] = tx.ID
-		wg.Add(1)
-		go func(i int, tx Transaction) {
-			defer wg.Done()
-			errs[i] = b.Submit(tx, testTimeout)
-		}(i, tx)
 	}
-	// Wait until all eight are enqueued, then close.
-	deadline := time.Now().Add(5 * time.Second)
-	for b.QueueDepth() < total && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if d := b.QueueDepth(); d != total {
-		t.Fatalf("queue depth %d, want %d", d, total)
-	}
+	held := gate.holdCommit(t, b)
+	wait := queueBehind(t, b, txs)
 	done := make(chan struct{})
 	go func() { b.Close(); close(done) }()
+	gate.open()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not drain within 10s")
 	}
-	wg.Wait()
-	for i, err := range errs {
+	if err := <-held; err != nil {
+		t.Errorf("in-flight submit got error at close: %v", err)
+	}
+	for i, err := range wait() {
 		if err != nil {
 			t.Errorf("waiter %d got error at close: %v", i, err)
 		}
@@ -231,7 +397,7 @@ func TestBatcherTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(8, 64)
 	n := newTestNetwork(t, 3, 2, WithTelemetry(reg, tr))
-	b := NewBatcher(n, BatcherConfig{MaxBatch: 8, MaxDelay: 2 * time.Millisecond, Registry: reg, Tracer: tr})
+	b := NewBatcher(n, BatcherConfig{MaxBatch: 8, Registry: reg, Tracer: tr})
 	defer b.Close()
 
 	submitN(t, b, 20, 8)

@@ -476,3 +476,49 @@ func TestCommitAcrossOrderingPartition(t *testing.T) {
 		}
 	}
 }
+
+func TestWaitCommitted(t *testing.T) {
+	l := NewLedger()
+	done := NewTransaction(EventDataReceipt, "svc", "h-done", nil, nil)
+	if _, err := l.AppendBlock([]Transaction{done}); err != nil {
+		t.Fatal(err)
+	}
+	// Already committed: true at once, even with the deadline in the past.
+	if !l.WaitCommitted(done.ID, time.Now().Add(-time.Second)) {
+		t.Error("already-committed tx reported uncommitted")
+	}
+	// Never committed: false once the deadline passes, not before.
+	start := time.Now()
+	if l.WaitCommitted("no-such-tx", start.Add(30*time.Millisecond)) {
+		t.Error("unknown tx reported committed")
+	}
+	if waited := time.Since(start); waited < 30*time.Millisecond {
+		t.Errorf("gave up after %v, before the 30ms deadline", waited)
+	}
+	// Woken by the append itself: the deadline is a minute away, so only
+	// AppendBlock's notification can end this wait in time. An unrelated
+	// block first must wake the waiter without satisfying it.
+	late := NewTransaction(EventDataReceipt, "svc", "h-late", nil, nil)
+	res := make(chan bool, 1)
+	go func() { res <- l.WaitCommitted(late.ID, time.Now().Add(time.Minute)) }()
+	other := NewTransaction(EventDataReceipt, "svc", "h-other", nil, nil)
+	if _, err := l.AppendBlock([]Transaction{other}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-res:
+		t.Fatalf("wait ended with %v on an unrelated block", got)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := l.AppendBlock([]Transaction{late}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-res:
+		if !got {
+			t.Error("woken waiter reported its tx uncommitted")
+		}
+	case <-time.After(testTimeout):
+		t.Fatal("AppendBlock did not wake the waiter")
+	}
+}

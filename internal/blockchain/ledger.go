@@ -22,6 +22,9 @@ type Ledger struct {
 	state  map[string]string // world state: handle -> latest event summary
 	byID   map[string]bool   // committed tx ids, for at-least-once dedup
 	byType map[EventType][]int
+	// appended is closed (and cleared) each time a block's transactions
+	// apply; WaitCommitted waiters block on it. Nil while nobody waits.
+	appended chan struct{}
 
 	// base/baseHash are non-zero only on a ledger restored from a
 	// world-state snapshot (RestoreSnapshot): blocks [0, base) were
@@ -97,6 +100,10 @@ func (l *Ledger) applyTxsLocked(b Block) {
 		if tx.Handle != "" {
 			l.state[tx.Handle] = fmt.Sprintf("%s@block%d", tx.Type, b.Number)
 		}
+	}
+	if l.appended != nil {
+		close(l.appended)
+		l.appended = nil
 	}
 }
 
@@ -250,6 +257,34 @@ func (l *Ledger) Committed(txID string) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.byID[txID]
+}
+
+// WaitCommitted blocks until txID is on the chain and reports true, or
+// reports false once deadline has passed without it. The wait is woken
+// by the block append itself, so commit-wait costs no polling interval.
+func (l *Ledger) WaitCommitted(txID string, deadline time.Time) bool {
+	if l.Committed(txID) {
+		return true
+	}
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	for {
+		l.mu.Lock()
+		if l.byID[txID] {
+			l.mu.Unlock()
+			return true
+		}
+		if l.appended == nil {
+			l.appended = make(chan struct{})
+		}
+		appended := l.appended
+		l.mu.Unlock()
+		select {
+		case <-appended:
+		case <-timer.C:
+			return l.Committed(txID)
+		}
+	}
 }
 
 // AuditQuery is the "auditor view" §IV-E describes: Hyperledger "allows

@@ -584,7 +584,7 @@ func (n *Network) submitPhases(txs []Transaction, timeout time.Duration, pctx te
 			// Serial ordering device (see SetOrderServiceTime): rounds
 			// queue behind each other, paying per-transaction service time.
 			n.orderMu.Lock()
-			time.Sleep(n.orderPerTx * time.Duration(len(txs)))
+			time.Sleep(n.orderPerTx * time.Duration(len(txs))) // modeled-device
 			n.orderMu.Unlock()
 		}
 		if _, err := n.cluster.ProposeAndWait(data, timeout); err != nil {
@@ -594,23 +594,16 @@ func (n *Network) submitPhases(txs []Transaction, timeout time.Duration, pctx te
 	}); err != nil {
 		return err
 	}
-	// Wait until the last tx of the batch lands on every peer.
+	// Wait until the last tx of the batch lands on every peer; each
+	// ledger wakes the wait from its own AppendBlock.
 	lastID := txs[len(txs)-1].ID
 	return n.phase(pctx, "ledger.commit-wait", ch, func() error {
-		for time.Now().Before(deadline) {
-			all := true
-			for _, id := range n.peerIDs {
-				if !n.peers[id].Ledger().Committed(lastID) {
-					all = false
-					break
-				}
+		for _, id := range n.peerIDs {
+			if !n.peers[id].Ledger().WaitCommitted(lastID, deadline) {
+				return errors.New("blockchain: commit not observed on all peers within timeout")
 			}
-			if all {
-				return nil
-			}
-			time.Sleep(2 * time.Millisecond)
 		}
-		return errors.New("blockchain: commit not observed on all peers within timeout")
+		return nil
 	})
 }
 

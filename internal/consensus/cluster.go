@@ -93,7 +93,7 @@ func (c *Cluster) WaitForLeader(timeout time.Duration) (*Node, error) {
 		if l := c.Leader(); l != nil {
 			return l, nil
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // no-leader backoff
 	}
 	return nil, errors.New("consensus: no leader elected within timeout")
 }
@@ -127,7 +127,7 @@ func (c *Cluster) proposeAndWait(data []byte, timeout time.Duration) (uint64, er
 	for time.Now().Before(deadline) {
 		l := c.Leader()
 		if l == nil {
-			time.Sleep(5 * time.Millisecond)
+			time.Sleep(5 * time.Millisecond) // no-leader backoff
 			continue
 		}
 		attempts++
@@ -143,22 +143,15 @@ func (c *Cluster) proposeAndWait(data []byte, timeout time.Duration) (uint64, er
 		}
 		// Wait for commit, but only briefly: a stale leader stranded in a
 		// minority partition would otherwise trap us until the full
-		// deadline. If the attempt can't be confirmed in time, re-evaluate
-		// leadership and retry.
-		attemptDeadline := time.Now().Add(300 * time.Millisecond)
-		for time.Now().Before(deadline) && time.Now().Before(attemptDeadline) {
-			if l.CommitIndex() >= idx {
-				// Confirm the entry wasn't overwritten by a newer term.
-				entries := l.LogEntries()
-				if idx-1 < uint64(len(entries)) && entries[idx-1].Term == term {
-					return idx, nil
-				}
-				break // overwritten: retry via the new leader
-			}
-			if l.Role() != Leader {
-				break // deposed before commit: retry
-			}
-			time.Sleep(2 * time.Millisecond)
+		// deadline. If the attempt can't be confirmed in time, the node is
+		// deposed first, or the entry was overwritten by a newer leader
+		// (the term check), re-evaluate leadership and retry.
+		wait := 300 * time.Millisecond
+		if left := time.Until(deadline); left < wait {
+			wait = left
+		}
+		if l.AwaitCommit(idx, wait) && l.TermAt(idx) == term {
+			return idx, nil
 		}
 	}
 	return 0, errors.New("consensus: proposal did not commit within timeout")

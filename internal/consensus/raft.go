@@ -138,6 +138,10 @@ type Node struct {
 	matchIndex  map[string]uint64
 	votes       map[string]bool
 	electionAt  time.Time
+	// changed is closed (and cleared) whenever commitIndex advances or
+	// the node steps down; AwaitCommit waiters block on it. Nil while
+	// nobody waits, so followers never allocate it.
+	changed chan struct{}
 
 	applyCh chan Committed
 	inbox   chan message
@@ -217,6 +221,60 @@ func (n *Node) CommitIndex() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.commitIndex
+}
+
+// TermAt returns the term of the log entry at index in O(1), or 0 when
+// the log holds no such entry (real terms start at 1; index 0 is the
+// term-0 sentinel).
+func (n *Node) TermAt(index uint64) uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if index >= uint64(len(n.log)) {
+		return 0
+	}
+	return n.log[index].Term
+}
+
+// AwaitCommit blocks until this node's commit index reaches index and
+// reports true, or reports false once the node is no longer leader, has
+// stopped, or d has elapsed. It is woken by the commit or step-down
+// itself, not by polling. A committed entry is never rewritten, so the
+// caller can compare TermAt(index) afterwards to learn whether its own
+// proposal is what committed there.
+func (n *Node) AwaitCommit(index uint64, d time.Duration) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		n.mu.Lock()
+		if n.commitIndex >= index {
+			n.mu.Unlock()
+			return true
+		}
+		if n.role != Leader {
+			n.mu.Unlock()
+			return false
+		}
+		if n.changed == nil {
+			n.changed = make(chan struct{})
+		}
+		changed := n.changed
+		n.mu.Unlock()
+		select {
+		case <-changed:
+		case <-timer.C:
+			return false
+		case <-n.stopCh:
+			return false
+		}
+	}
+}
+
+// notifyLocked wakes every AwaitCommit waiter to re-check the node.
+func (n *Node) notifyLocked() {
+	if n.changed != nil {
+		close(n.changed)
+		n.changed = nil
+	}
 }
 
 // LogEntries returns a copy of the log (excluding the sentinel).
@@ -329,6 +387,7 @@ func (n *Node) stepDownLocked(term uint64) {
 	n.role = Follower
 	n.votedFor = ""
 	n.resetElectionTimerLocked()
+	n.notifyLocked()
 }
 
 func (n *Node) handle(m message) {
@@ -444,10 +503,15 @@ func (n *Node) advanceCommitLocked() {
 		n.log[candidate].Term == n.currentTerm {
 		n.commitIndex = candidate
 		n.applyCommittedLocked()
+		// Tell followers now: they apply on leaderCommit, and waiting for
+		// the next heartbeat tick would put that interval on every commit
+		// that needs all replicas applied.
+		n.broadcastAppendLocked()
 	}
 }
 
 func (n *Node) applyCommittedLocked() {
+	n.notifyLocked()
 	for n.lastApplied < n.commitIndex {
 		n.lastApplied++
 		e := n.log[n.lastApplied]

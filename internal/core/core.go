@@ -85,11 +85,11 @@ type Config struct {
 	// chain grows (0 disables; requires DataDir to have any effect).
 	LedgerSnapshotEvery int
 	// LedgerBatch enables group-commit provenance batching: ingest
-	// workers enqueue into a blockchain.Batcher that coalesces
-	// concurrent provenance events (max 64 tx / 5 ms window) into one
-	// group endorsement + ordering round (experiment E17). Off by
-	// default: batching pays a window latency per event, which only
-	// buys throughput under concurrent ingest.
+	// workers enqueue into a blockchain.Batcher that commits a lone
+	// event at once and coalesces events arriving during an in-flight
+	// commit (max 64 tx) into one group endorsement + ordering round
+	// (experiment E17). There is no batch timer, so it costs nothing
+	// at low concurrency.
 	LedgerBatch bool
 	// IngestWorkers is the background worker count (default 4).
 	IngestWorkers int

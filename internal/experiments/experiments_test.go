@@ -194,6 +194,11 @@ func TestE17BatchedProvenance(t *testing.T) {
 	if rows["batched @ 16 workers (median of 3)"] <= rows["unbatched @ 16 workers (median of 3)"] {
 		t.Error("batched throughput not above unbatched at 16 workers")
 	}
+	// No timer, so nothing to lose with nothing to coalesce: a lone
+	// worker's singleton groups must cost what unbatched submits cost.
+	if got := rows["batched/unbatched @ 1 worker"]; got < 0.9 {
+		t.Errorf("batched/unbatched at 1 worker = %.2fx, want >= 0.9x", got)
+	}
 	if !strings.HasPrefix(r.Shape, "HOLDS") {
 		t.Errorf("shape: %s", r.Shape)
 	}

@@ -44,15 +44,12 @@ type e21Sample struct {
 func e21Run(channels int) (e21Sample, error) {
 	var s e21Sample
 	m, err := multichain.New(multichain.Config{
-		Name:     "e21-ledger",
-		Channels: channels,
-		PeerIDs:  []string{"org-a", "org-b"},
-		PolicyK:  1,
-		Seed:     2112,
-		Batch:    true,
-		// A short window lets each channel's batcher coalesce the 16-way
-		// contention into groups without adding visible idle latency.
-		BatchMaxDelay:    2 * time.Millisecond,
+		Name:             "e21-ledger",
+		Channels:         channels,
+		PeerIDs:          []string{"org-a", "org-b"},
+		PolicyK:          1,
+		Seed:             2112,
+		Batch:            true,
 		OrderServiceTime: e21OrderPerTx,
 	})
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"healthcloud/internal/ingest"
 	"healthcloud/internal/scan"
 	"healthcloud/internal/store"
+	"healthcloud/internal/telemetry"
 )
 
 // E5IngestPipeline measures why §II-B makes ingestion asynchronous:
@@ -107,58 +108,93 @@ func E5IngestPipeline() (*Result, error) {
 	}, nil
 }
 
+// e6Arm commits `total` transactions in batches of `batch` on a fresh
+// RSA-PSS network and returns the sustained throughput. group selects
+// the group-commit path (one endorsement per peer per batch, what the
+// Batcher issues) over per-transaction endorsement.
+func e6Arm(total, batch int, group bool) (float64, error) {
+	// Pinned to RSA-PSS endorsement: the amortization claim (and its
+	// gain > 2 bar) is calibrated against expensive per-tx signatures;
+	// E22 covers the cheap-signature (Ed25519) regime.
+	net, err := blockchain.NewNetwork("bench", []string{"p0", "p1", "p2"}, 2,
+		blockchain.WithSignatureScheme(hckrypto.SchemeRSAPSS))
+	if err != nil {
+		return 0, err
+	}
+	defer net.Close()
+	// One untimed submit settles the ordering cluster's first election
+	// (50-100 ms): at event-driven commit speeds it would otherwise be
+	// most of a 128-tx arm.
+	warm := blockchain.NewTransaction(blockchain.EventDataReceipt, "bench", "warm-up", nil, nil)
+	if err := net.Submit(warm, 30*time.Second); err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	for sent := 0; sent < total; sent += batch {
+		n := batch
+		if sent+n > total {
+			n = total - sent
+		}
+		txs := make([]blockchain.Transaction, n)
+		for i := range txs {
+			txs[i] = blockchain.NewTransaction(blockchain.EventDataReceipt, "bench",
+				fmt.Sprintf("h-%d", sent+i), nil, nil)
+		}
+		if group {
+			err = net.SubmitGroupCtx(txs, 30*time.Second, telemetry.SpanContext{})
+		} else {
+			err = net.SubmitBatch(txs, 30*time.Second)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return float64(total) / time.Since(start).Seconds(), nil
+}
+
 // E6LedgerCommit measures provenance-blockchain commit throughput across
-// batch sizes (§IV): batching amortizes endorsement + ordering.
+// batch sizes (§IV). With per-transaction endorsement, batching can only
+// amortize the ordering round and the commit wait — and since those
+// became event-driven (no poll sleeps, no heartbeat wait) a round costs a
+// fraction of one RSA-PSS signature, so those rows are nearly flat: the
+// two signatures per transaction cap throughput. What batching does
+// amortize is endorsement itself: one group endorsement per peer per
+// batch, the path the group-commit Batcher takes (E17 measures it end to
+// end).
 func E6LedgerCommit() (*Result, error) {
 	const total = 128
 	rows := []Row{}
-	var tpSingle, tpBest float64
+	var tpSingle, tpPerTx float64
 	for _, batch := range []int{1, 16, 64} {
-		// Pinned to RSA-PSS endorsement: the amortization claim (and its
-		// gain > 2 bar) is calibrated against expensive per-tx signatures;
-		// E22 covers the cheap-signature (Ed25519) regime.
-		net, err := blockchain.NewNetwork("bench", []string{"p0", "p1", "p2"}, 2,
-			blockchain.WithSignatureScheme(hckrypto.SchemeRSAPSS))
+		tput, err := e6Arm(total, batch, false)
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		for sent := 0; sent < total; sent += batch {
-			n := batch
-			if sent+n > total {
-				n = total - sent
-			}
-			txs := make([]blockchain.Transaction, n)
-			for i := range txs {
-				txs[i] = blockchain.NewTransaction(blockchain.EventDataReceipt, "bench",
-					fmt.Sprintf("h-%d", sent+i), nil, nil)
-			}
-			if err := net.SubmitBatch(txs, 30*time.Second); err != nil {
-				net.Close()
-				return nil, err
-			}
-		}
-		elapsed := time.Since(start)
-		net.Close()
-		tput := float64(total) / elapsed.Seconds()
 		if batch == 1 {
 			tpSingle = tput
 		}
-		if tput > tpBest {
-			tpBest = tput
+		if tput > tpPerTx {
+			tpPerTx = tput
 		}
 		rows = append(rows, Row{fmt.Sprintf("batch=%2d: commit throughput", batch), tput, "tx/s"})
 	}
-	// Endorsement (two RSA-PSS signatures per tx) is per-transaction work
-	// that batching cannot amortize, so the gain saturates; ~2-4x is the
-	// expected regime.
-	gain := tpBest / tpSingle
+	tpGroup, err := e6Arm(total, 64, true)
+	if err != nil {
+		return nil, err
+	}
+	gainPerTx, gain := tpPerTx/tpSingle, tpGroup/tpSingle
+	rows = append(rows,
+		Row{"batch=64, one group endorsement: commit throughput", tpGroup, "tx/s"},
+		Row{"batching gain, per-tx endorsement", gainPerTx, "x"},
+		Row{"batching gain", gain, "x"})
 	return &Result{
 		ID:         "E6",
 		Title:      "provenance ledger commit throughput vs batch size (3 peers, 2-of-3 endorsement)",
 		PaperClaim: "blockchain provenance for every data event is feasible; batching amortizes consensus (§IV, Fig 6)",
-		Rows:       append(rows, Row{"batching gain", gain, "x"}),
-		Shape:      verdict(gain > 2, fmt.Sprintf("batching amortizes ordering %.1fx; endorsement cost remains per-tx", gain)),
+		Rows:       rows,
+		Shape: verdict(gain > 2, fmt.Sprintf(
+			"group-endorsed batches of 64 commit %.1fx faster than single transactions; with per-tx endorsement batching gains only %.1fx — ordering is too cheap to be worth amortizing",
+			gain, gainPerTx)),
 	}, nil
 }
 

@@ -73,9 +73,6 @@ type Config struct {
 	UnbalancedRing bool
 	// Batch puts a group-commit Batcher in front of every channel.
 	Batch bool
-	// BatchMaxDelay overrides the batcher window (0 = batcher default,
-	// negative = commit immediately without a window).
-	BatchMaxDelay time.Duration
 	// DataDir, when set, gives every channel its own WAL directory
 	// (<DataDir>/ch-<i>) replayed on open. The channel count must stay
 	// stable for a given DataDir.
@@ -246,7 +243,6 @@ func (m *Ledger) openChannel(name string) (*Channel, error) {
 	}
 	if cfg.Batch {
 		ch.Batcher = blockchain.NewBatcher(net, blockchain.BatcherConfig{
-			MaxDelay: cfg.BatchMaxDelay,
 			Registry: cfg.Registry, Tracer: cfg.Tracer,
 		})
 	}

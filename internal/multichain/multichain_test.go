@@ -109,7 +109,6 @@ func TestSubmitBatchSplitsAcrossChannels(t *testing.T) {
 func TestBatcherPathFlushAndClose(t *testing.T) {
 	m := newFabric(t, 2, func(c *Config) {
 		c.Batch = true
-		c.BatchMaxDelay = -1 // commit immediately, no window latency
 	})
 	for i := 0; i < 10; i++ {
 		if err := m.Submit(testTx(fmt.Sprintf("b-ref-%d", i), 0), 5*time.Second); err != nil {

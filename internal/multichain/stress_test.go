@@ -22,7 +22,6 @@ func TestMultiChainStress(t *testing.T) {
 	)
 	m := newFabric(t, channels, func(c *Config) {
 		c.Batch = true
-		c.BatchMaxDelay = -1 // commit immediately; groups form under contention
 	})
 
 	var wg sync.WaitGroup

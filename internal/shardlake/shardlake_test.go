@@ -3,6 +3,7 @@ package shardlake
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -426,5 +427,85 @@ func TestSingleShardMatchesDataLakeSemantics(t *testing.T) {
 	}
 	if got := c.lake.Count(); got != 0 {
 		t.Errorf("Count after delete = %d (tombstones must not count)", got)
+	}
+}
+
+// TestSecureDeleteRacesReadersOfSharedCiphertext pins the contract that
+// lets replicas share one ciphertext array (store.Sealed): SecureDelete
+// shreds the key and drops references, it never writes to the bytes. Per
+// round one replica is evicted so the quorum read repairs it — from the
+// shared slice — while SecureDelete runs and other readers hit the same
+// ref through the cluster and directly on both replicas. Run with -race:
+// no reader may see anything but the exact payload or a refusal, the
+// tombstone must win on every replica, and nothing opens afterwards.
+func TestSecureDeleteRacesReadersOfSharedCiphertext(t *testing.T) {
+	c := newCluster(t, 3, 2)
+	for round := 0; round < 40; round++ {
+		subject := fmt.Sprintf("patient-%d", round)
+		want := "payload for " + subject
+		ref := c.put(t, subject)
+		place := c.lake.placement(ref)
+		captured, err := c.shards[place[0]].GetSealed(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.shards[place[1]].Evict(ref) // the first quorum read must repair this replica
+
+		check := func(who string, pt []byte, err error) {
+			if err == nil && string(pt) != want {
+				t.Errorf("round %d: %s read %q, want %q or a refusal", round, who, pt, want)
+			}
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		run := func(f func()) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				f()
+			}()
+		}
+		run(func() {
+			for i := 0; i < 20; i++ {
+				pt, err := c.lake.Get(ref, "svc-storage") // quorum read + read-repair
+				check("cluster Get", pt, err)
+			}
+		})
+		for _, name := range place {
+			shard := c.shards[name]
+			run(func() {
+				for i := 0; i < 20; i++ {
+					pt, err := shard.Get(ref, "svc-storage")
+					check(name+" Get", pt, err)
+					if s, err := shard.GetSealed(ref); err == nil && !s.Deleted {
+						pt, err := c.lake.sealer.Open(s, "svc-storage")
+						check(name+" GetSealed+Open", pt, err)
+					}
+				}
+			})
+		}
+		run(func() {
+			if err := c.lake.SecureDelete(ref); err != nil {
+				t.Errorf("round %d: SecureDelete: %v", round, err)
+			}
+		})
+		close(start)
+		wg.Wait()
+
+		if _, err := c.lake.Get(ref, "svc-storage"); !errors.Is(err, store.ErrDeleted) {
+			t.Fatalf("round %d: get after delete = %v, want ErrDeleted", round, err)
+		}
+		for _, name := range place {
+			s, err := c.shards[name].GetSealed(ref)
+			if err != nil || !s.Deleted || len(s.Ciphertext) != 0 {
+				t.Fatalf("round %d: replica %s after delete = %+v, %v; want a bare tombstone", round, name, s, err)
+			}
+		}
+		// A copy captured before the deletion still has its bytes (they
+		// are never zeroed) but can no longer be opened: the key is gone.
+		if pt, err := c.lake.sealer.Open(captured, "svc-storage"); err == nil {
+			t.Fatalf("round %d: captured copy opened to %q after secure delete", round, pt)
+		}
 	}
 }

@@ -72,6 +72,11 @@ type Lake interface {
 // same KMS, a Sealed record can be installed verbatim on any replica —
 // replication, read-repair, hinted handoff and rebalancing all move
 // Sealed records, never plaintext.
+//
+// Ciphertext is immutable after Seal: PutSealed installs the slice as-is,
+// so every replica of a record (and any hint queued for it) shares one
+// backing array. Nothing may write to those bytes afterwards; deletion
+// shreds the key and drops the reference.
 type Sealed struct {
 	RefID      string `json:"ref_id"`
 	KeyID      string `json:"key_id"`
@@ -271,9 +276,8 @@ func (d *DataLake) PutSealed(s Sealed) error {
 		return fmt.Errorf("store: journaling record: %w", err)
 	}
 	d.records[s.RefID] = &record{
-		refID: s.RefID, keyID: s.KeyID,
-		ciphertext: append([]byte(nil), s.Ciphertext...),
-		meta:       s.Meta, deleted: s.Deleted,
+		refID: s.RefID, keyID: s.KeyID, ciphertext: s.Ciphertext,
+		meta: s.Meta, deleted: s.Deleted,
 	}
 	d.mu.Unlock()
 	if wait != nil {
@@ -341,8 +345,14 @@ func (d *DataLake) Get(refID, principal string) ([]byte, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	d.serviceDelay()
+	// Copy the record out under the lock: SecureDelete rewrites its
+	// fields in place.
 	d.mu.RLock()
-	rec, ok := d.records[refID]
+	var rec record
+	stored, ok := d.records[refID]
+	if ok {
+		rec = *stored
+	}
 	d.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, refID)
@@ -398,8 +408,12 @@ func (d *DataLake) Meta(refID string) (Meta, error) {
 	return rec.meta, nil
 }
 
-// SecureDelete crypto-shreds one record: its data key is destroyed and
-// the ciphertext zeroed. The tombstone remains so audits can see a
+// SecureDelete crypto-shreds one record: its data key is destroyed —
+// that is the deletion, no copy of the ciphertext anywhere can be opened
+// again — and this lake drops its reference to the ciphertext. The bytes
+// are not zeroed in place: they are shared with the record's other
+// replicas (see Sealed) and the journal keeps them on disk until
+// compaction regardless. The tombstone remains so audits can see a
 // record existed.
 func (d *DataLake) SecureDelete(refID string) error {
 	d.mu.Lock()
@@ -423,9 +437,6 @@ func (d *DataLake) SecureDelete(refID string) error {
 	if err != nil {
 		d.mu.Unlock()
 		return fmt.Errorf("store: journaling tombstone: %w", err)
-	}
-	for i := range rec.ciphertext {
-		rec.ciphertext[i] = 0
 	}
 	rec.ciphertext = nil
 	rec.deleted = true
