@@ -36,8 +36,7 @@ func run() error {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	tenant := flag.String("tenant", "demo-health", "tenant name")
 	ledger := flag.Bool("ledger", true, "run the provenance blockchain")
-	ledgerBatch := flag.Bool("ledger-batch", false, "group-commit provenance batching (a lone tx commits at once; arrivals during a commit form the next group, max 64 tx)")
-	channels := flag.Int("channels", 1, "provenance ledger channels (1 = single ledger; >1 partitions records by patient across independently ordered channels)")
+	channels := flag.Int("channels", 1, "provenance ledger channels: records partition by key across independently ordered, group-committing channels")
 	snapEvery := flag.Int("ledger-snapshot-every", 0, "cut a ledger world-state snapshot into the WAL every K blocks so restarts replay from the snapshot instead of the full chain (0 disables)")
 	obs := flag.Bool("telemetry", true, "serve metrics at /metrics and traces at /traces/{id}")
 	traceSample := flag.Float64("trace-sample", 0, "tail-sampling keep probability for unremarkable traces (0 = keep all; errored traces and the slowest roots are always kept)")
@@ -45,9 +44,9 @@ func run() error {
 	mon := flag.Bool("monitor", true, "run the self-monitoring watchdog (/readyz, /statusz, /metrics/history)")
 	monInterval := flag.Duration("monitor-interval", time.Second, "watchdog tick period")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (own listener; empty disables)")
-	shards := flag.Int("shards", 1, "Data Lake shard count (1 = single lake; >1 enables the consistent-hash shardlake)")
+	shards := flag.Int("shards", 1, "Data Lake shard count (consistent-hash placement across shards)")
 	replicas := flag.Int("replicas", 1, "Data Lake replication factor R (clamped to -shards)")
-	dataDir := flag.String("data-dir", "", "root directory for durable storage: lake segments + ledger WAL, replayed on restart (empty = in-memory only)")
+	dataDir := flag.String("data-dir", "", "root directory for durable storage: shards/shard-<i> lake journals + ledger/ch-<i> WALs, replayed on restart (empty = in-memory only)")
 	sigScheme := flag.String("sig-scheme", "", "ledger endorsement signature scheme: ed25519 (default) or rsa; chains endorsed under either scheme verify regardless (algorithm-tagged envelopes)")
 	adm := flag.Bool("admission", false, "enable admission control: per-tenant token buckets (429) and queue-depth load shedding (503), both with honest Retry-After")
 	admRate := flag.Float64("admission-rate", 0, "default per-tenant admission rate in requests/sec for tenants without a metered quota (0 = 200/s)")
@@ -66,7 +65,6 @@ func run() error {
 		Shards: *shards, Replicas: *replicas, DataDir: *dataDir}
 	if *ledger {
 		cfg.LedgerPeers = []string{"hospital", "audit-svc", "data-protection"}
-		cfg.LedgerBatch = *ledgerBatch
 		cfg.Channels = *channels
 		cfg.LedgerSnapshotEvery = *snapEvery
 		cfg.SignatureScheme = *sigScheme
@@ -114,8 +112,8 @@ func run() error {
 		"auditor@demo": rbac.RoleAuditor,
 	}
 	fmt.Printf("healthcloud instance %q listening on http://%s\n", *tenant, *addr)
-	fmt.Printf("components: %d | ledger: %v (batch: %v, channels: %d) | telemetry: %v | monitor: %v | admission: %v\n\n",
-		len(platform.Components()), *ledger, *ledgerBatch, *channels, *obs, *mon, *adm)
+	fmt.Printf("components: %d | lake: %d shard(s) x %d replica(s) | ledger: %v (%d channel(s)) | telemetry: %v | monitor: %v | admission: %v\n\n",
+		len(platform.Components()), len(platform.ShardLake.Shards()), platform.ShardLake.Replicas(), *ledger, *channels, *obs, *mon, *adm)
 	fmt.Println("demo login tokens (POST each body to /api/v1/login):")
 	enc := json.NewEncoder(os.Stdout)
 	for subject, role := range users {
@@ -147,8 +145,8 @@ func run() error {
 
 	// Graceful shutdown on SIGINT/SIGTERM, in drain order: stop taking
 	// uploads (srv.Shutdown finishes in-flight requests first), then
-	// platform.Close drains the ingest workers, flushes any ledger
-	// batcher, closes the bus and the network, and finally syncs and
+	// platform.Close drains the ingest workers, flushes the ledger
+	// batchers, closes the bus and the channels, and finally syncs and
 	// closes the durable logs — so every acknowledged upload is on disk
 	// before exit. A SIGKILL instead exercises the crash-recovery path
 	// (experiment E20): restart replays the same state from the logs.

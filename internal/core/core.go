@@ -19,9 +19,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"healthcloud/internal/admission"
@@ -60,7 +62,8 @@ type Config struct {
 	// blockchain (useful for microbenchmarks). Per §IV-B1's "in a
 	// different approach, information about a given record on malware,
 	// privacy and integrity can be added to a single blockchain network.
-	// It is a design decision." — we run one network for all event types.
+	// It is a design decision." — every event type shares the fabric;
+	// Channels partitions it by record key.
 	LedgerPeers []string
 	// EndorsementK is the endorsement policy (default: majority).
 	EndorsementK int
@@ -71,12 +74,11 @@ type Config struct {
 	// under one scheme replay and verify under another.
 	SignatureScheme string
 	// Channels partitions provenance onto N independent ledger channels
-	// (default 1 = the single hcls-ledger network, byte-identical to the
-	// pre-multichain behavior). Above 1 the trust plane is an
+	// (values below 1 mean 1). The trust plane is always an
 	// internal/multichain fabric: transactions route by record key on a
 	// seeded consistent-hash ring, each channel owns its own ordering
-	// cluster, optional group-commit batcher, and (with DataDir) block
-	// WAL directory, and the cross-channel auditor view reconstructs a
+	// cluster, group-commit batcher, and (with DataDir) block WAL
+	// directory, and the cross-channel auditor view reconstructs a
 	// verifiable per-record total order. The channel count must stay
 	// stable for a given DataDir.
 	Channels int
@@ -84,12 +86,8 @@ type Config struct {
 	// WAL every K blocks so restart replay cost stays bounded as the
 	// chain grows (0 disables; requires DataDir to have any effect).
 	LedgerSnapshotEvery int
-	// LedgerBatch enables group-commit provenance batching: ingest
-	// workers enqueue into a blockchain.Batcher that commits a lone
-	// event at once and coalesces events arriving during an in-flight
-	// commit (max 64 tx) into one group endorsement + ordering round
-	// (experiment E17). There is no batch timer, so it costs nothing
-	// at low concurrency.
+	// Deprecated: batching is always on; kept only because
+	// bench/platform.go sets it — delete with the next benchmark PR.
 	LedgerBatch bool
 	// IngestWorkers is the background worker count (default 4).
 	IngestWorkers int
@@ -103,20 +101,20 @@ type Config struct {
 	// dead-letters (default 5; <0 disables the cap).
 	IngestMaxAttempts int
 	// DataDir roots the durable persistence layer: each Data Lake shard
-	// journals to its own segment directory under it and the provenance
-	// ledger write-ahead-logs committed blocks, so a restarted instance
-	// replays its state from disk. Empty (the default) keeps everything
-	// in memory, byte-identical to the pre-durability behavior. Opening
-	// a DataDir with interior corruption fails New with
-	// durable.ErrCorrupt rather than serving rewritten history.
+	// journals to <DataDir>/shards/shard-<i> and each ledger channel
+	// write-ahead-logs committed blocks to <DataDir>/ledger/ch-<i>, so a
+	// restarted instance replays its state from disk. Empty (the
+	// default) keeps everything in memory. Opening a DataDir with
+	// interior corruption fails New with durable.ErrCorrupt rather than
+	// serving rewritten history.
 	DataDir string
-	// Shards is the Data Lake shard count (default 1 = today's single
-	// in-process lake, byte-identical behavior). Above 1 the lake is a
-	// shardlake cluster: consistent-hash placement, R-way replication,
-	// read-repair, hinted handoff, and online rebalancing.
+	// Shards is the Data Lake shard count (values below 1 mean 1). The
+	// lake is always a shardlake cluster: consistent-hash placement,
+	// R-way replication, read-repair, hinted handoff, and online
+	// rebalancing.
 	Shards int
-	// Replicas is the replication factor R for the sharded lake
-	// (default 1; clamped to Shards). Ignored when Shards <= 1.
+	// Replicas is the replication factor R (default 1; clamped to
+	// Shards).
 	Replicas int
 	// Faults, when set, wires a fault-injection registry through the
 	// stores, ledger, remote KB, service registry, and consensus fabric
@@ -176,32 +174,29 @@ type Platform struct {
 	CM     *audit.ChangeManager
 	Cloud  *cloud.Cloud
 	Bus    *bus.Bus
-	// Lake is the Data Lake the pipeline writes to: a single
-	// store.DataLake when Config.Shards <= 1, otherwise ShardLake.
+	// Lake is the Data Lake the pipeline writes to — the same object as
+	// ShardLake, behind the store.Lake interface.
 	Lake store.Lake
-	// ShardLake is the sharded lake cluster (nil when Shards <= 1).
+	// ShardLake is the sharded lake cluster (one shard at the default
+	// size).
 	ShardLake *shardlake.Lake
 	IDMap     *store.IdentityMap
 	Consents  *consent.Service
 	Scanner   *scan.Scanner
 	Verifier  *anonymize.VerificationService
-	// Provenance is the single provenance network when Channels <= 1;
-	// with a multi-channel fabric it aliases channel ch-0 (the anchor
-	// channel legacy single-network paths keep working against).
-	Provenance *blockchain.Network // nil when disabled
-	// MultiChain is the partitioned provenance fabric (nil unless
-	// Config.Channels > 1): per-channel ordering, batching and WALs,
-	// plus the cross-channel auditor view.
+	// Provenance is the anchor channel's (ch-0) network, for callers that
+	// inspect or submit to one network directly; nil when the ledger is
+	// disabled.
+	Provenance *blockchain.Network
+	// MultiChain is the partitioned provenance fabric (nil when the
+	// ledger is disabled): per-channel ordering, batching and WALs, plus
+	// the cross-channel auditor view.
 	MultiChain *multichain.Ledger
-	// LedgerBatcher is the group-commit writer in front of Provenance
-	// (nil unless Config.LedgerBatch; with a multi-channel fabric the
-	// batchers live inside the channels instead).
-	LedgerBatcher *blockchain.Batcher
-	Ingest        *ingest.Pipeline
-	Analytics     *analytics.Platform
-	Services      *services.Registry
-	KB            *kb.Dataset
-	KBRemote      *kb.RemoteKB
+	Ingest     *ingest.Pipeline
+	Analytics  *analytics.Platform
+	Services   *services.Registry
+	KB         *kb.Dataset
+	KBRemote   *kb.RemoteKB
 	// KBResilient guards the remote KB with retry, a circuit breaker,
 	// and stale-serving graceful degradation; KBCache loads through it.
 	KBResilient *kb.ResilientClient
@@ -228,12 +223,10 @@ type Platform struct {
 	// Monitor is the self-monitoring layer (nil when disabled); httpapi
 	// serves it at /readyz, /statusz, and /metrics/history.
 	Monitor *monitor.Monitor
-	// LakeLogs are the per-shard durable journals, keyed by shard name
-	// ("lake" for the single-lake layout). Empty when DataDir is unset.
+	// LakeLogs are the per-shard durable journals, keyed by shard name.
+	// Empty when DataDir is unset; the per-channel ledger WALs are
+	// MultiChain.WALs().
 	LakeLogs map[string]*durable.LakeLog
-	// LedgerWAL is the provenance ledger's write-ahead log (nil when
-	// DataDir is unset or the ledger is disabled).
-	LedgerWAL *durable.WAL
 }
 
 // New builds and starts a platform instance.
@@ -253,6 +246,17 @@ func New(cfg Config) (*Platform, error) {
 	case cfg.IngestMaxAttempts < 0:
 		cfg.IngestMaxAttempts = 0 // explicit opt-out: unlimited redelivery
 	}
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
+	}
+	if cfg.Channels < 1 {
+		cfg.Channels = 1
+	}
+	if cfg.DataDir != "" {
+		if err := adoptLegacyLayout(cfg.DataDir); err != nil {
+			return nil, err
+		}
+	}
 	p := &Platform{cfg: cfg, Telemetry: cfg.Telemetry,
 		LakeLogs: make(map[string]*durable.LakeLog)}
 	reg, tracer := cfg.Telemetry.Registry(), cfg.Telemetry.Spans()
@@ -265,24 +269,6 @@ func New(cfg Config) (*Platform, error) {
 			pol.SlowK = cfg.TraceSlowK
 		}
 		tracer.SetPolicy(pol)
-	}
-
-	// openDurable replays a shard directory into a freshly built lake
-	// and attaches its write-ahead journal; a no-op without DataDir.
-	openDurable := func(name, dir string, lake *store.DataLake) error {
-		if cfg.DataDir == "" {
-			return nil
-		}
-		log, err := durable.OpenLake(dir, lake, durable.Options{
-			FaultScope: "durable." + name,
-			Faults:     cfg.Faults, Registry: reg, Tracer: tracer,
-		})
-		if err != nil {
-			return fmt.Errorf("core: durable lake %s: %w", name, err)
-		}
-		lake.SetJournal(log)
-		p.LakeLogs[name] = log
-		return nil
 	}
 
 	var err error
@@ -299,44 +285,42 @@ func New(cfg Config) (*Platform, error) {
 	}
 	p.Bus = bus.New(bus.WithMaxAttempts(cfg.IngestMaxAttempts),
 		bus.WithTelemetry(reg, tracer))
-	if cfg.Shards <= 1 {
+	// All shards hang off the one KMS (the trust plane stays unsharded),
+	// so replicas are byte-identical sealed records and grants/
+	// crypto-shredding cover every copy at once.
+	shards := make([]shardlake.Shard, cfg.Shards)
+	for i := range shards {
 		lake := store.NewDataLake(p.KMS, "svc-storage")
-		lake.SetFaults(cfg.Faults)
 		lake.SetTelemetry(reg)
-		if err := openDurable("lake", filepath.Join(cfg.DataDir, "lake"), lake); err != nil {
-			return nil, err
-		}
-		p.Lake = lake
-	} else {
-		// All shards hang off the one KMS (the trust plane stays
-		// unsharded), so replicas are byte-identical sealed records and
-		// grants/crypto-shredding cover every copy at once.
-		shards := make([]shardlake.Shard, cfg.Shards)
-		for i := range shards {
-			lake := store.NewDataLake(p.KMS, "svc-storage")
-			lake.SetTelemetry(reg)
-			name := shardlake.ShardName(i)
+		name := shardlake.ShardName(i)
+		if cfg.DataDir != "" {
 			// One directory per shard: replication already moves portable
-			// Sealed records, so each replica journals independently and
-			// the quorum/repair machinery above is untouched.
-			if err := openDurable(name, filepath.Join(cfg.DataDir, "shards", name), lake); err != nil {
-				return nil, err
+			// Sealed records, so each replica replays and journals
+			// independently of the quorum/repair machinery above it.
+			log, err := durable.OpenLake(filepath.Join(cfg.DataDir, "shards", name), lake, durable.Options{
+				FaultScope: "durable." + name,
+				Faults:     cfg.Faults, Registry: reg, Tracer: tracer,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("core: durable lake %s: %w", name, err)
 			}
-			shards[i] = shardlake.Shard{Name: name, Lake: lake}
+			lake.SetJournal(log)
+			p.LakeLogs[name] = log
 		}
-		p.ShardLake, err = shardlake.New(shards, shardlake.Config{
-			Replicas: cfg.Replicas,
-			Seed:     lakeRingSeed,
-			Faults:   cfg.Faults,
-			Registry: reg,
-			Tracer:   tracer,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: shardlake: %w", err)
-		}
-		p.ShardLake.StartPump(time.Second)
-		p.Lake = p.ShardLake
+		shards[i] = shardlake.Shard{Name: name, Lake: lake}
 	}
+	p.ShardLake, err = shardlake.New(shards, shardlake.Config{
+		Replicas: cfg.Replicas,
+		Seed:     lakeRingSeed,
+		Faults:   cfg.Faults,
+		Registry: reg,
+		Tracer:   tracer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: shardlake: %w", err)
+	}
+	p.ShardLake.StartPump(time.Second)
+	p.Lake = p.ShardLake
 	p.IDMap = store.NewIdentityMap("svc-reident")
 	p.Consents = consent.NewService()
 	if p.Scanner, err = scan.NewScanner(scan.DefaultSignatures()...); err != nil {
@@ -344,91 +328,35 @@ func New(cfg Config) (*Platform, error) {
 	}
 	p.Verifier = &anonymize.VerificationService{RequiredK: cfg.RequiredK}
 
+	// ledger stays a nil interface when the blockchain is disabled. The
+	// fabric routes each provenance event to its owning channel's
+	// batcher and flushes them on pipeline close.
+	var ledger ingest.Ledger
 	if len(cfg.LedgerPeers) > 0 {
-		k := cfg.EndorsementK
-		if k <= 0 {
-			k = len(cfg.LedgerPeers)/2 + 1
-		}
 		scheme, err := hckrypto.ParseScheme(cfg.SignatureScheme)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		if cfg.Channels > 1 {
-			mcDir := ""
-			if cfg.DataDir != "" {
-				mcDir = filepath.Join(cfg.DataDir, "ledger")
-			}
-			p.MultiChain, err = multichain.New(multichain.Config{
-				Name: "hcls-ledger", Channels: cfg.Channels,
-				PeerIDs: cfg.LedgerPeers, PolicyK: k,
-				Seed: ledgerRingSeed, Batch: cfg.LedgerBatch,
-				DataDir: mcDir, SnapshotEvery: cfg.LedgerSnapshotEvery,
-				Scheme: scheme,
-				Faults: cfg.Faults, Registry: reg, Tracer: tracer,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: multichain ledger: %w", err)
-			}
-			// ch-0 anchors legacy single-network paths (Components,
-			// SubmitWorkloadAttestation-style direct submits).
-			p.Provenance = p.MultiChain.Channels()[0].Net
-		} else {
-			if p.Provenance, err = blockchain.NewNetwork("hcls-ledger", cfg.LedgerPeers, k,
-				blockchain.WithSignatureScheme(scheme),
-				blockchain.WithFaults(cfg.Faults),
-				blockchain.WithTelemetry(reg, tracer)); err != nil {
-				return nil, fmt.Errorf("core: ledger: %w", err)
-			}
-			if cfg.DataDir != "" {
-				// One WAL serves every peer: they commit the same blocks from
-				// the same ordered stream, the WAL dedups by number + hash and
-				// flags divergence. Each peer restores from the replayed chain
-				// (hash-verified by Restore) — from the latest world-state
-				// snapshot plus its tail when one exists, full replay
-				// otherwise — before the network takes traffic.
-				wal, rep, err := durable.OpenWALSnapshot(filepath.Join(cfg.DataDir, "ledger"), durable.Options{
-					FaultScope: "durable.ledger",
-					Faults:     cfg.Faults, Registry: reg, Tracer: tracer,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("core: ledger wal: %w", err)
-				}
-				for _, id := range p.Provenance.PeerIDs() {
-					peer, perr := p.Provenance.Peer(id)
-					if perr != nil {
-						return nil, fmt.Errorf("core: ledger wal: %w", perr)
-					}
-					var rerr error
-					if rep.Snapshot != nil {
-						rerr = peer.Ledger().RestoreSnapshot(*rep.Snapshot, rep.Blocks)
-					} else {
-						rerr = peer.Ledger().Restore(rep.Blocks)
-					}
-					if rerr != nil {
-						return nil, fmt.Errorf("core: ledger wal restore (%s): %w", id, rerr)
-					}
-					peer.Ledger().SetWAL(wal)
-					peer.Ledger().SetSnapshotEvery(cfg.LedgerSnapshotEvery)
-				}
-				p.LedgerWAL = wal
-			}
+		mcDir := ""
+		if cfg.DataDir != "" {
+			mcDir = filepath.Join(cfg.DataDir, "ledger")
 		}
-	}
-
-	var ledger ingest.Ledger
-	switch {
-	case p.MultiChain != nil:
-		// The fabric routes each provenance event to its owning channel
-		// and flushes per-channel batchers on pipeline close.
+		p.MultiChain, err = multichain.New(multichain.Config{
+			Name: "hcls-ledger", Channels: cfg.Channels,
+			PeerIDs: cfg.LedgerPeers, PolicyK: cfg.EndorsementK,
+			Seed:    ledgerRingSeed,
+			DataDir: mcDir, SnapshotEvery: cfg.LedgerSnapshotEvery,
+			Scheme: scheme,
+			Faults: cfg.Faults, Registry: reg, Tracer: tracer,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: multichain ledger: %w", err)
+		}
+		p.Provenance = p.MultiChain.Channels()[0].Net
 		ledger = p.MultiChain
-	case p.Provenance != nil:
-		ledger = p.Provenance
-		if cfg.LedgerBatch {
-			p.LedgerBatcher = blockchain.NewBatcher(p.Provenance, blockchain.BatcherConfig{
-				Registry: reg, Tracer: tracer,
-			})
-			ledger = p.LedgerBatcher
-		}
+		// The fabric is both submit surface (routing by record key) and
+		// query surface (the merged, chain-verified auditor view).
+		p.Identity = ssi.NewRegistry(p.MultiChain, p.MultiChain)
 	}
 	p.Ingest, err = ingest.New(ingest.Deps{
 		Tenant: cfg.Tenant, KMS: p.KMS, Lake: p.Lake, IDMap: p.IDMap,
@@ -493,25 +421,44 @@ func New(cfg Config) (*Platform, error) {
 	}
 	p.KBCache.SetTelemetry(reg, tracer)
 	p.Invalidations = hccache.NewPublisher(p.Bus)
-	if p.MultiChain != nil {
-		// The fabric is both submit surface (routing by record key) and
-		// query surface (the merged, chain-verified auditor view).
-		p.Identity = ssi.NewRegistry(p.MultiChain, p.MultiChain)
-	} else if p.Provenance != nil {
-		// Any peer's ledger copy serves identity status queries; use the
-		// first (they converge, and VerifyChain audits divergence).
-		peer, err := p.Provenance.Peer(p.Provenance.PeerIDs()[0])
-		if err != nil {
-			return nil, fmt.Errorf("core: identity registry: %w", err)
-		}
-		p.Identity = ssi.NewRegistry(p.Provenance, peer.Ledger())
-	}
 	if cfg.Monitor {
 		p.wireMonitor(cfg, reg, tracer)
 	}
 	p.Audit.Record(audit.Event{Level: audit.LevelInfo, Service: "platform",
 		Action: "instance-start", Resource: cfg.Tenant})
 	return p, nil
+}
+
+// adoptLegacyLayout renames what a default-size platform wrote before
+// every size used the N layout — <dir>/lake, and log files directly
+// under <dir>/ledger — to shard-0 and ch-0. Each step is one rename (the
+// ledger staged through <dir>/ledger.legacy), so an interrupted adoption
+// resumes on the next open; a dir holding both layouts is refused.
+func adoptLegacyLayout(dir string) error {
+	exists := func(path string) bool { _, err := os.Stat(path); return err == nil }
+	ledger, staged := filepath.Join(dir, "ledger"), filepath.Join(dir, "ledger.legacy")
+	ch0 := filepath.Join(ledger, multichain.ChannelName(0))
+	shard0 := filepath.Join(dir, "shards", shardlake.ShardName(0))
+	type move struct{ from, to, current string }
+	moves := []move{{staged, ch0, ch0}, {filepath.Join(dir, "lake"), shard0, shard0}}
+	if logs, _ := filepath.Glob(filepath.Join(ledger, "*.log")); len(logs) > 0 {
+		moves = append([]move{{ledger, staged, ch0}}, moves...)
+	}
+	for _, m := range moves {
+		if !exists(m.from) {
+			continue
+		}
+		if exists(m.current) || exists(m.to) {
+			return fmt.Errorf("core: data dir holds both the legacy layout (%s) and the current one (%s); remove one", m.from, m.current)
+		}
+		if err := os.MkdirAll(filepath.Dir(m.to), 0o700); err != nil {
+			return fmt.Errorf("core: adopting %s: %w", m.from, err)
+		}
+		if err := os.Rename(m.from, m.to); err != nil {
+			return fmt.Errorf("core: adopting %s: %w", m.from, err)
+		}
+	}
+	return nil
 }
 
 // Monitoring thresholds for the default probes and objectives. The
@@ -528,17 +475,15 @@ const (
 	lakeRingSeed = 1907
 	// ledgerRingSeed pins multichain channel placement the same way —
 	// and, because routing must agree with data already on disk, it is
-	// part of the durable format for multi-channel DataDirs.
+	// part of the durable format of every DataDir.
 	ledgerRingSeed = 2112
 )
 
-// The multichain fabric stands in wherever one network or batcher sat.
+// The pipeline finds these two on its ledger by type assertion, so
+// nothing else would notice the fabric losing them.
 var (
-	_ ingest.Ledger        = (*multichain.Ledger)(nil)
 	_ ingest.TracedLedger  = (*multichain.Ledger)(nil)
 	_ ingest.LedgerFlusher = (*multichain.Ledger)(nil)
-	_ ssi.Ledger           = (*multichain.Ledger)(nil)
-	_ ssi.LedgerQuerier    = (*multichain.Ledger)(nil)
 )
 
 // wireMonitor assembles the self-monitoring layer: default dependency
@@ -548,52 +493,55 @@ var (
 // breaches into audit alerts.
 func (p *Platform) wireMonitor(cfg Config, reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	prober := monitor.NewProber()
+	// Collectors copy pull-style values into gauges before each sample,
+	// so the ring and /metrics see them without per-operation cost.
+	collectors := []func(){
+		func() {
+			reg.Gauge("ingest_queue_depth").Set(int64(p.Ingest.QueueDepth()))
+			reg.Gauge("ingest_dlq_backlog").Set(int64(p.Ingest.DLQBacklog()))
+			reg.Gauge("trace_store_traces").Set(int64(tracer.StoredTraces()))
+			reg.Gauge("trace_store_evicted").Set(int64(tracer.EvictedTraces()))
+			reg.Gauge("trace_store_dropped_spans").Set(int64(tracer.Dropped()))
+		},
+		p.ShardLake.Collect,
+	}
 
-	if p.ShardLake == nil {
-		prober.AddCheck("data-lake", func() monitor.Health {
-			if err := p.Lake.Ping(); err != nil {
-				return monitor.Degraded(err.Error())
+	sl := p.ShardLake
+	// The cluster probe distinguishes "replication is absorbing an
+	// outage" (degraded, still ready) from "quorum lost" (down): with
+	// R-way replication a single dead shard must not fail readiness,
+	// only surface as degraded until hints drain.
+	prober.AddCheck("data-lake", func() monitor.Health {
+		down := 0
+		for _, err := range sl.ShardHealth() {
+			if err != nil {
+				down++
+			}
+		}
+		backlog := sl.HintBacklog()
+		switch {
+		case down == 0 && backlog == 0:
+			return monitor.Healthy(fmt.Sprintf("%d shards serving", len(sl.Shards())))
+		case sl.QuorumHolds():
+			return monitor.Degraded(fmt.Sprintf(
+				"%d shard(s) down, quorum holds (R=%d), %d hints queued",
+				down, sl.Replicas(), backlog))
+		default:
+			return monitor.Down(fmt.Sprintf("%d/%d shards down, quorum lost",
+				down, len(sl.Shards())))
+		}
+	})
+	for _, name := range sl.Shards() {
+		name := name
+		prober.AddCheck("data-lake/"+name, func() monitor.Health {
+			if err := sl.ShardPing(name); err != nil {
+				if sl.QuorumHolds() {
+					return monitor.Degraded(err.Error())
+				}
+				return monitor.Down(err.Error())
 			}
 			return monitor.Healthy("serving")
 		})
-	} else {
-		sl := p.ShardLake
-		// The cluster probe distinguishes "replication is absorbing an
-		// outage" (degraded, still ready) from "quorum lost" (down):
-		// with R-way replication a single dead shard must not fail
-		// readiness, only surface as degraded until hints drain.
-		prober.AddCheck("data-lake", func() monitor.Health {
-			down := 0
-			for _, err := range sl.ShardHealth() {
-				if err != nil {
-					down++
-				}
-			}
-			backlog := sl.HintBacklog()
-			switch {
-			case down == 0 && backlog == 0:
-				return monitor.Healthy(fmt.Sprintf("%d shards serving", len(sl.Shards())))
-			case sl.QuorumHolds():
-				return monitor.Degraded(fmt.Sprintf(
-					"%d shard(s) down, quorum holds (R=%d), %d hints queued",
-					down, sl.Replicas(), backlog))
-			default:
-				return monitor.Down(fmt.Sprintf("%d/%d shards down, quorum lost",
-					down, len(sl.Shards())))
-			}
-		})
-		for _, name := range sl.Shards() {
-			name := name
-			prober.AddCheck("data-lake/"+name, func() monitor.Health {
-				if err := sl.ShardPing(name); err != nil {
-					if sl.QuorumHolds() {
-						return monitor.Degraded(err.Error())
-					}
-					return monitor.Down(err.Error())
-				}
-				return monitor.Healthy("serving")
-			})
-		}
 	}
 	prober.AddCheck("ingest-queue", func() monitor.Health {
 		depth, dlq := p.Ingest.QueueDepth(), p.Ingest.DLQBacklog()
@@ -637,64 +585,62 @@ func (p *Platform) wireMonitor(cfg Config, reg *telemetry.Registry, tracer *tele
 		}
 		return monitor.Healthy("circuit closed")
 	})
-	if p.MultiChain != nil {
-		mc := p.MultiChain
-		// Aggregate worst-state across channels: one sick channel must
-		// degrade /readyz (a slice of record keys can't commit), but
-		// only every channel failing takes the whole submit path Down.
-		// CheckSubmitPath is side-effect free on every channel, same
-		// contract as the single-network probe below.
+	var ledgerWALs map[string]*durable.WAL
+	if mc := p.MultiChain; mc != nil {
+		ledgerWALs = mc.WALs()
+		// One sweep per probe round: the aggregate check runs every
+		// channel's submit-path check once and the per-channel checks,
+		// registered after it (the prober runs checks in registration
+		// order), read that result. The check is side-effect free by
+		// contract — it endorses but never orders or commits — so probe
+		// rounds (and unauthenticated /readyz requests) cannot grow the
+		// audit-grade ledger.
+		var sweepMu sync.Mutex
+		var sweep map[string]multichain.SubmitHealth
 		prober.AddCheck("provenance-ledger", func() monitor.Health {
-			return fabricLedgerHealth(mc.ChannelHealth())
+			health := mc.ChannelHealth()
+			sweepMu.Lock()
+			sweep = health
+			sweepMu.Unlock()
+			return fabricLedgerHealth(health)
 		})
 		prober.AddCheck("consensus-leader", func() monitor.Health {
 			return fabricLeaderHealth(mc.OrderingLeaders())
 		})
 		// Per-channel checks keep /statusz attributable: which channel,
 		// not just how many. Singly they report Degraded — the aggregate
-		// above owns the Down decision.
+		// above owns the Down decision. The labelled leader gauges are
+		// resolved once here so the collector does no name work per tick;
+		// the label keeps a wedged channel attributable on /metrics.
+		leaderGauges := make(map[string]*telemetry.Gauge)
 		for _, name := range mc.ChannelNames() {
 			name := name
+			leaderGauges[name] = reg.Gauge(`consensus_leader_present{channel="` + name + `"}`)
 			prober.AddCheck("provenance-ledger/"+name, func() monitor.Health {
-				start := time.Now()
-				if err := mc.ChannelHealth()[name]; err != nil {
-					return monitor.Degraded(err.Error())
-				}
-				if elapsed := time.Since(start); elapsed > monitorLedgerSlow {
+				sweepMu.Lock()
+				h := sweep[name]
+				sweepMu.Unlock()
+				switch {
+				case h.Err != nil:
+					return monitor.Degraded(h.Err.Error())
+				case h.Elapsed > monitorLedgerSlow:
 					return monitor.Degraded(fmt.Sprintf("submit path took %v (ceiling %v)",
-						elapsed.Round(time.Millisecond), monitorLedgerSlow))
+						h.Elapsed.Round(time.Millisecond), monitorLedgerSlow))
 				}
 				return monitor.Healthy("endorsing")
 			})
 		}
-	} else if p.Provenance != nil {
-		// Side-effect free by contract: CheckSubmitPath walks the fault
-		// point and the endorsement policy but never orders or commits,
-		// so probe rounds (and unauthenticated /readyz requests) cannot
-		// grow the audit-grade ledger.
-		prober.AddCheck("provenance-ledger", func() monitor.Health {
-			start := time.Now()
-			if err := p.Provenance.CheckSubmitPath(); err != nil {
-				return monitor.Down(err.Error())
+		collectors = append(collectors, func() {
+			for name, id := range mc.OrderingLeaders() {
+				var present int64
+				if id != "" {
+					present = 1
+				}
+				leaderGauges[name].Set(present)
 			}
-			if elapsed := time.Since(start); elapsed > monitorLedgerSlow {
-				return monitor.Degraded(fmt.Sprintf("submit path took %v (ceiling %v)",
-					elapsed.Round(time.Millisecond), monitorLedgerSlow))
-			}
-			return monitor.Healthy("endorsing")
-		})
-		prober.AddCheck("consensus-leader", func() monitor.Health {
-			if id, ok := p.Provenance.OrderingLeader(); ok {
-				return monitor.Healthy("leader " + id)
-			}
-			return monitor.Degraded("no settled leader")
 		})
 	}
-	var ledgerWALs map[string]*durable.WAL
-	if p.MultiChain != nil {
-		ledgerWALs = p.MultiChain.WALs()
-	}
-	if len(p.LakeLogs) > 0 || p.LedgerWAL != nil || len(ledgerWALs) > 0 {
+	if len(p.LakeLogs) > 0 || len(ledgerWALs) > 0 {
 		// Durability probe: a wedged writer (torn write or failed fsync —
 		// the store refuses until reopen) means acks can no longer be
 		// honored, so it is Down, not Degraded. Slow fsyncs (injected
@@ -705,12 +651,9 @@ func (p *Platform) wireMonitor(cfg Config, reg *telemetry.Registry, tracer *tele
 				name string
 				st   durable.Stats
 			}
-			all := make([]named, 0, len(p.LakeLogs)+1)
+			all := make([]named, 0, len(p.LakeLogs)+len(ledgerWALs))
 			for name, log := range p.LakeLogs {
 				all = append(all, named{name, log.Stats()})
-			}
-			if p.LedgerWAL != nil {
-				all = append(all, named{"ledger", p.LedgerWAL.Stats()})
 			}
 			for name, wal := range ledgerWALs {
 				all = append(all, named{"ledger/" + name, wal.Stats()})
@@ -761,46 +704,6 @@ func (p *Platform) wireMonitor(cfg Config, reg *telemetry.Registry, tracer *tele
 			Counter: "ingest_dead_lettered_total", MaxDelta: 0},
 	})
 
-	// Collectors copy pull-style values into gauges before each sample,
-	// so the ring and /metrics see them without per-operation cost.
-	collectors := []func(){
-		func() {
-			reg.Gauge("ingest_queue_depth").Set(int64(p.Ingest.QueueDepth()))
-			reg.Gauge("ingest_dlq_backlog").Set(int64(p.Ingest.DLQBacklog()))
-			reg.Gauge("trace_store_traces").Set(int64(tracer.StoredTraces()))
-			reg.Gauge("trace_store_evicted").Set(int64(tracer.EvictedTraces()))
-			reg.Gauge("trace_store_dropped_spans").Set(int64(tracer.Dropped()))
-		},
-	}
-	if p.MultiChain != nil {
-		// Pre-resolve one labelled gauge per channel so the collector
-		// does no map/name work per tick; the label keeps a wedged
-		// channel attributable on /metrics, not averaged away.
-		leaderGauges := make(map[string]*telemetry.Gauge, len(p.MultiChain.ChannelNames()))
-		for _, name := range p.MultiChain.ChannelNames() {
-			leaderGauges[name] = reg.Gauge(`consensus_leader_present{channel="` + name + `"}`)
-		}
-		collectors = append(collectors, func() {
-			for name, id := range p.MultiChain.OrderingLeaders() {
-				var present int64
-				if id != "" {
-					present = 1
-				}
-				leaderGauges[name].Set(present)
-			}
-		})
-	} else if p.Provenance != nil {
-		collectors = append(collectors, func() {
-			var present int64
-			if _, ok := p.Provenance.OrderingLeader(); ok {
-				present = 1
-			}
-			reg.Gauge("consensus_leader_present").Set(present)
-		})
-	}
-	if p.ShardLake != nil {
-		collectors = append(collectors, p.ShardLake.Collect)
-	}
 	if p.Admission != nil {
 		collectors = append(collectors, p.Admission.Collect)
 	}
@@ -825,27 +728,35 @@ func (p *Platform) wireMonitor(cfg Config, reg *telemetry.Registry, tracer *tele
 	}
 }
 
-// fabricLedgerHealth folds per-channel submit-path results into one
-// worst-state health. The readiness contract is "degrade, don't lie":
-// any failing channel means some slice of record keys cannot commit,
-// so the platform is at best Degraded; it is Down only when no channel
-// can endorse at all.
-func fabricLedgerHealth(health map[string]error) monitor.Health {
-	var failing []string
-	for name, err := range health {
-		if err != nil {
+// fabricLedgerHealth folds one sweep of per-channel submit-path results
+// into one worst-state health. The readiness contract is "degrade,
+// don't lie": any failing channel means some slice of record keys
+// cannot commit and any slow one means they commit late, so the
+// platform is at best Degraded; it is Down only when no channel can
+// endorse at all.
+func fabricLedgerHealth(health map[string]multichain.SubmitHealth) monitor.Health {
+	var failing, slow []string
+	for name, h := range health {
+		switch {
+		case h.Err != nil:
 			failing = append(failing, name)
+		case h.Elapsed > monitorLedgerSlow:
+			slow = append(slow, name)
 		}
 	}
 	sort.Strings(failing)
+	sort.Strings(slow)
 	switch {
-	case len(failing) == 0:
-		return monitor.Healthy(fmt.Sprintf("%d channel(s) endorsing", len(health)))
-	case len(failing) < len(health):
+	case len(failing) == len(health):
+		return monitor.Down("all channels failing submit path: " + strings.Join(failing, ", "))
+	case len(failing) > 0:
 		return monitor.Degraded(fmt.Sprintf("%d/%d channel(s) failing submit path: %s",
 			len(failing), len(health), strings.Join(failing, ", ")))
+	case len(slow) > 0:
+		return monitor.Degraded(fmt.Sprintf("submit path over %v ceiling on: %s",
+			monitorLedgerSlow, strings.Join(slow, ", ")))
 	default:
-		return monitor.Down("all channels failing submit path: " + strings.Join(failing, ", "))
+		return monitor.Healthy(fmt.Sprintf("%d channel(s) endorsing", len(health)))
 	}
 }
 
@@ -872,32 +783,21 @@ func fabricLeaderHealth(leaders map[string]string) monitor.Health {
 }
 
 // Close stops background machinery. Order matters: the pipeline first
-// (its Close flushes any group-commit batcher so in-flight provenance
-// events are acked), then the batcher, then the bus and the network,
-// and the durable logs last — everything upstream has drained by then,
-// so their final fsync + close seals a complete image on disk.
+// (its Close flushes the channels' group-commit batchers so in-flight
+// provenance events are acked), then the lake's hint pump, the bus and
+// the ledger fabric (which owns every channel's batcher, network and
+// WAL), and the lake journals last — everything upstream has drained by
+// then, so their final fsync + close seals a complete image on disk.
 func (p *Platform) Close() {
 	p.Monitor.Watchdog().Stop()
 	p.Ingest.Close()
-	if p.ShardLake != nil {
-		p.ShardLake.Close()
-	}
-	if p.LedgerBatcher != nil {
-		p.LedgerBatcher.Close()
-	}
+	p.ShardLake.Close()
 	p.Bus.Close()
 	if p.MultiChain != nil {
-		// Owns every channel's batcher, network, and WAL; p.Provenance
-		// aliases channel 0, so it must not be closed separately.
 		p.MultiChain.Close()
-	} else if p.Provenance != nil {
-		p.Provenance.Close()
 	}
 	for _, log := range p.LakeLogs {
 		log.Close()
-	}
-	if p.LedgerWAL != nil {
-		p.LedgerWAL.Close()
 	}
 }
 
@@ -1088,7 +988,7 @@ func (p *Platform) HIPAAControls() []HIPAAControl {
 // and HIPAA"). It returns the number of events committed.
 func (p *Platform) SyncConsentProvenance(timeout time.Duration) (int, error) {
 	events := p.Consents.Events()
-	if p.Provenance == nil || len(events) == 0 {
+	if p.MultiChain == nil || len(events) == 0 {
 		return 0, nil
 	}
 	txs := make([]blockchain.Transaction, 0, len(events))
@@ -1100,15 +1000,9 @@ func (p *Platform) SyncConsentProvenance(timeout time.Duration) (int, error) {
 		txs = append(txs, blockchain.NewTransaction(typ, "consent-service", e.Patient,
 			nil, map[string]string{"group": e.Group, "purpose": string(e.Purpose)}))
 	}
-	if p.MultiChain != nil {
-		// Route by patient so each patient's consent history stays a
-		// totally ordered sequence on one channel.
-		if err := p.MultiChain.SubmitBatch(txs, timeout); err != nil {
-			return 0, fmt.Errorf("core: consent provenance: %w", err)
-		}
-		return len(txs), nil
-	}
-	if err := p.Provenance.SubmitBatch(txs, timeout); err != nil {
+	// Routed by patient, so each patient's consent history stays a
+	// totally ordered sequence on one channel.
+	if err := p.MultiChain.SubmitBatch(txs, timeout); err != nil {
 		return 0, fmt.Errorf("core: consent provenance: %w", err)
 	}
 	return len(txs), nil

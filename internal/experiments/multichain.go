@@ -49,7 +49,6 @@ func e21Run(channels int) (e21Sample, error) {
 		PeerIDs:          []string{"org-a", "org-b"},
 		PolicyK:          1,
 		Seed:             2112,
-		Batch:            true,
 		OrderServiceTime: e21OrderPerTx,
 	})
 	if err != nil {

@@ -7,10 +7,11 @@ import (
 	"time"
 
 	"healthcloud/internal/core"
+	"healthcloud/internal/faultinject"
 	"healthcloud/internal/fhir"
 	"healthcloud/internal/hckrypto"
 	"healthcloud/internal/metering"
-	"healthcloud/internal/store"
+	"healthcloud/internal/shardlake"
 )
 
 // retryAfterAtLeast1 asserts a rejection carries a usable integer
@@ -73,16 +74,20 @@ func TestAdmissionRateLimit429(t *testing.T) {
 // Retry-After while consent changes (critical) and interactive reads
 // (normal, deeper limit) keep landing.
 func TestAdmissionShedsBulkKeepsCritical(t *testing.T) {
+	faults := faultinject.NewRegistry(24)
 	f := newAPIWith(t, func(cfg *core.Config) {
+		cfg.Faults = faults
 		cfg.Admission = true
 		cfg.AdmissionRate = 1e6 // buckets out of the way: this test is about shedding
 		cfg.ShedBulkDepth = 4
 		cfg.ShedNormalDepth = 1000
 	})
-	// Build a real backlog: slow the lake down and enqueue well past the
+	// Build a real backlog: slow the lake's writes down (two puts per
+	// upload, four workers: ~1.6 s to drain 40) and enqueue well past the
 	// bulk limit (directly through the pipeline — the HTTP path would
 	// start shedding at depth 4 and never let the queue grow).
-	f.p.Lake.(*store.DataLake).SetServiceTime(20 * time.Millisecond)
+	faults.Enable(shardlake.FaultPoint(shardlake.ShardName(0), "put"),
+		faultinject.Fault{LatencyRate: 1, Latency: 80 * time.Millisecond})
 	key, err := f.p.Ingest.RegisterClient("flood-device")
 	if err != nil {
 		t.Fatal(err)

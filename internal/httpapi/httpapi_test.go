@@ -21,6 +21,7 @@ import (
 	"healthcloud/internal/kb"
 	"healthcloud/internal/monitor"
 	"healthcloud/internal/rbac"
+	"healthcloud/internal/shardlake"
 	"healthcloud/internal/store"
 	"healthcloud/internal/telemetry"
 )
@@ -512,6 +513,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		"ingest.upload", "bus.hop", "ingest.process",
 		"ingest.decrypt", "ingest.validate", "ingest.scan", "ingest.consent",
 		"ingest.deidentify", "ingest.store", "ingest.store-deid", "ingest.provenance",
+		"multichain.route", "ledger.batch-wait",
 		"ledger.submit", "ledger.endorse", "ledger.order", "ledger.commit-wait",
 	}
 	for _, name := range want {
@@ -546,7 +548,9 @@ func TestTraceEndToEnd(t *testing.T) {
 		"ingest.store":       "ingest.process",
 		"ingest.store-deid":  "ingest.process",
 		"ingest.provenance":  "ingest.process",
-		"ledger.submit":      "ingest.provenance", // ledger under the provenance stage
+		"multichain.route":   "ingest.provenance", // channel routing under the provenance stage
+		"ledger.batch-wait":  "multichain.route",  // the channel's group-commit queue
+		"ledger.submit":      "multichain.route",  // a lone tx commits at once, in this trace
 		"ledger.endorse":     "ledger.submit",
 		"ledger.order":       "ledger.submit",
 		"ledger.commit-wait": "ledger.submit",
@@ -573,11 +577,13 @@ func TestTraceEndToEnd(t *testing.T) {
 
 // TestReadyzEndToEnd drives the full loop the monitor tentpole
 // promises: /readyz reports ok on a healthy platform, degrades (still
-// 200) while a store fault is injected, agrees with the legacy healthz
-// route throughout, and returns to ready after recovery.
+// 200) while replication absorbs a shard outage, turns 503 once quorum
+// is lost, agrees with the legacy healthz route throughout, and returns
+// to ready after recovery.
 func TestReadyzEndToEnd(t *testing.T) {
 	faults := faultinject.NewRegistry(31)
 	f := newAPIWith(t, func(cfg *core.Config) {
+		cfg.Shards, cfg.Replicas = 2, 2
 		cfg.Faults = faults
 		cfg.Telemetry = telemetry.New()
 		cfg.Monitor = true
@@ -618,9 +624,11 @@ func TestReadyzEndToEnd(t *testing.T) {
 		t.Fatalf("healthy healthz status = %q", got)
 	}
 
-	// Break the data lake: the store probe degrades but the platform
+	// Break one of two replicas: the lake probe degrades but the platform
 	// keeps serving, so readiness stays 200 with a degraded verdict.
-	faults.Enable(store.FaultLakePut, faultinject.Fault{ErrorRate: 1})
+	shard0 := shardlake.FaultPoint(shardlake.ShardName(0), "put")
+	shard1 := shardlake.FaultPoint(shardlake.ShardName(1), "put")
+	faults.Enable(shard0, faultinject.Fault{ErrorRate: 1})
 	code, rep := readyz()
 	if code != http.StatusOK {
 		t.Fatalf("degraded must stay 200, got %d", code)
@@ -635,8 +643,17 @@ func TestReadyzEndToEnd(t *testing.T) {
 		t.Fatalf("legacy healthz disagrees with /readyz: %q", got)
 	}
 
+	// Break the other replica too: quorum is lost, the lake is Down, and
+	// readiness says so.
+	faults.Enable(shard1, faultinject.Fault{ErrorRate: 1})
+	if code, rep := readyz(); code != http.StatusServiceUnavailable || rep.Ready ||
+		rep.Components["data-lake"].State != monitor.StateDown {
+		t.Fatalf("quorum lost: code %d report %+v, want 503 with data-lake down", code, rep)
+	}
+
 	// Recovery: the next probe round sees the lake healthy again.
-	faults.Disable(store.FaultLakePut)
+	faults.Disable(shard0)
+	faults.Disable(shard1)
 	if code, rep := readyz(); code != http.StatusOK || rep.Overall != monitor.StateOK {
 		t.Fatalf("recovered: code %d report %+v", code, rep)
 	}

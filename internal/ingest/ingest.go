@@ -512,6 +512,9 @@ func (p *Pipeline) dlqWorker() {
 }
 
 // notifyLocked wakes every waiter. Callers must hold p.mu for writing.
+// A terminal transition records everything a woken waiter may look for
+// — the audit event, the completion count, the staging removal — before
+// it takes the lock and notifies, never after.
 func (p *Pipeline) notifyLocked() {
 	close(p.notify)
 	p.notify = make(chan struct{})
@@ -541,6 +544,9 @@ func (p *Pipeline) fail(uploadID, reason string) {
 		p.met.failed.Inc()
 	}
 	p.completed.Add(1)
+	p.staging.Remove(uploadID)
+	p.log.Record(audit.Event{Level: audit.LevelWarn, Service: "ingest",
+		Action: "ingest-failed", Resource: uploadID, Detail: reason})
 	p.mu.Lock()
 	if st, ok := p.statuses[uploadID]; ok {
 		st.State = StateFailed
@@ -550,9 +556,6 @@ func (p *Pipeline) fail(uploadID, reason string) {
 	delete(p.progress, uploadID)
 	p.notifyLocked()
 	p.mu.Unlock()
-	p.staging.Remove(uploadID)
-	p.log.Record(audit.Event{Level: audit.LevelWarn, Service: "ingest",
-		Action: "ingest-failed", Resource: uploadID, Detail: reason})
 }
 
 // markDeadLettered parks an upload that exhausted its retries.
@@ -560,6 +563,9 @@ func (p *Pipeline) markDeadLettered(uploadID, reason string) {
 	if reason == "" {
 		reason = "retries exhausted"
 	}
+	p.staging.Remove(uploadID)
+	p.log.Record(audit.Event{Level: audit.LevelError, Service: "ingest",
+		Action: "ingest-dead-lettered", Resource: uploadID, Detail: reason})
 	p.mu.Lock()
 	if st, ok := p.statuses[uploadID]; ok && !st.State.Terminal() {
 		st.State = StateDeadLettered
@@ -574,9 +580,6 @@ func (p *Pipeline) markDeadLettered(uploadID, reason string) {
 	delete(p.progress, uploadID)
 	p.notifyLocked()
 	p.mu.Unlock()
-	p.staging.Remove(uploadID)
-	p.log.Record(audit.Event{Level: audit.LevelError, Service: "ingest",
-		Action: "ingest-dead-lettered", Resource: uploadID, Detail: reason})
 }
 
 // timeStage runs one pipeline stage under a span (child of parent) and
@@ -779,6 +782,13 @@ func (p *Pipeline) run(msg uploadMsg, pctx telemetry.SpanContext) error {
 			return err
 		}
 	}
+	p.staging.Remove(id)
+	p.completed.Add(1)
+	if p.met != nil {
+		p.met.stored.Inc()
+	}
+	p.log.Record(audit.Event{Level: audit.LevelInfo, Service: "ingest",
+		Action: "stored", Resource: prog.refID})
 	p.mu.Lock()
 	if st, ok := p.statuses[id]; ok {
 		st.State = StateStored
@@ -788,13 +798,6 @@ func (p *Pipeline) run(msg uploadMsg, pctx telemetry.SpanContext) error {
 	delete(p.progress, id)
 	p.notifyLocked()
 	p.mu.Unlock()
-	p.staging.Remove(id)
-	p.completed.Add(1)
-	if p.met != nil {
-		p.met.stored.Inc()
-	}
-	p.log.Record(audit.Event{Level: audit.LevelInfo, Service: "ingest",
-		Action: "stored", Resource: prog.refID})
 	return nil
 }
 

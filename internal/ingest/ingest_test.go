@@ -153,6 +153,13 @@ func TestEndToEndIngestion(t *testing.T) {
 	if st.State != StateStored || st.RefID == "" {
 		t.Fatalf("status = %+v", st)
 	}
+	// A waiter woken by the terminal state finds its records in place.
+	if got := r.p.Completed(); got < 1 {
+		t.Errorf("Completed() = %d when the stored waiter returned", got)
+	}
+	if got := r.log.Find(audit.Query{Action: "stored"}); len(got) != 1 {
+		t.Errorf("stored audit events = %d when the stored waiter returned", len(got))
+	}
 	// Both identified and de-identified copies are in the lake.
 	if r.lake.Count() != 2 {
 		t.Errorf("lake count = %d, want 2", r.lake.Count())

@@ -5,8 +5,8 @@
 // family as "a design decision"); hChain 4.0 makes the same pitch for
 // EHR provenance at scale. Each channel is a full blockchain.Network:
 // its own peers, endorsement policy, Raft ordering cluster, commit
-// pumps, optional group-commit Batcher, and (when durable) its own
-// block WAL directory — so endorsement, ordering, fsync and commit all
+// pumps, group-commit Batcher, and (when durable) its own block WAL
+// directory — so endorsement, ordering, fsync and commit all
 // parallelize across channels.
 //
 // Transactions route by record key (the data handle, falling back to
@@ -63,22 +63,12 @@ type Config struct {
 	// Epoch stamps auditor entries; bump it when a channel layout
 	// migration re-anchors chains (0 for the initial layout).
 	Epoch uint64
-	// UnbalancedRing keeps the legacy equal-vnode channel ring instead
-	// of the skew-corrected one (shardlake.NewBalancedRing). The two
-	// rings place keys differently, so a DataDir written under one is a
-	// routing-format mismatch under the other — set this on fabrics
-	// whose directories predate the balanced ring. Fresh deployments
-	// should leave it false: the balanced ring evens the per-channel
-	// keyspace shares that E21 measured as block-cut skew.
-	UnbalancedRing bool
-	// Batch puts a group-commit Batcher in front of every channel.
-	Batch bool
 	// DataDir, when set, gives every channel its own WAL directory
 	// (<DataDir>/ch-<i>) replayed on open. The channel count must stay
 	// stable for a given DataDir.
 	DataDir string
 	// SnapshotEvery cuts a world-state snapshot into each channel's WAL
-	// every K blocks (0 disables).
+	// every K blocks (0 disables; nothing to cut into without DataDir).
 	SnapshotEvery int
 	// OrderServiceTime > 0 installs the serial ordering device model on
 	// every channel (experiments; see Network.SetOrderServiceTime).
@@ -93,23 +83,15 @@ type Config struct {
 	Tracer   *telemetry.Tracer
 }
 
-// Channel is one independent provenance partition.
+// Channel is one independent provenance partition. Single submits go
+// through Batcher (natural group commit: a lone tx commits at once).
 type Channel struct {
 	Name     string
 	Net      *blockchain.Network
-	Batcher  *blockchain.Batcher // nil unless Config.Batch
-	WAL      *durable.WAL        // nil unless Config.DataDir
+	Batcher  *blockchain.Batcher
+	WAL      *durable.WAL // nil unless Config.DataDir
 	routed   *telemetry.Counter
 	routeLat *telemetry.Histogram
-}
-
-// submit runs one transaction through the channel's write path —
-// batcher when configured, direct network submission otherwise.
-func (c *Channel) submit(tx blockchain.Transaction, timeout time.Duration, parent telemetry.SpanContext) error {
-	if c.Batcher != nil {
-		return c.Batcher.SubmitCtx(tx, timeout, parent)
-	}
-	return c.Net.SubmitCtx(tx, timeout, parent)
 }
 
 // ledger returns the channel's reference ledger copy (first sorted
@@ -164,11 +146,7 @@ func New(cfg Config) (*Ledger, error) {
 	for i := range m.names {
 		m.names[i] = ChannelName(i)
 	}
-	if cfg.Channels > 1 && !cfg.UnbalancedRing {
-		m.ring = shardlake.NewBalancedRing(m.names, ringVnodes, cfg.Seed)
-	} else {
-		m.ring = shardlake.NewRing(m.names, ringVnodes, cfg.Seed)
-	}
+	m.ring = shardlake.NewBalancedRing(m.names, ringVnodes, cfg.Seed)
 	for _, name := range m.names {
 		ch, err := m.openChannel(name)
 		if err != nil {
@@ -185,7 +163,7 @@ func New(cfg Config) (*Ledger, error) {
 }
 
 // openChannel builds one channel's network, replays and attaches its
-// WAL, and fronts it with a batcher when configured.
+// WAL, and fronts it with the group-commit batcher.
 func (m *Ledger) openChannel(name string) (*Channel, error) {
 	cfg := m.cfg
 	net, err := blockchain.NewNetwork(cfg.Name+"/"+name, cfg.PeerIDs, cfg.PolicyK,
@@ -234,18 +212,10 @@ func (m *Ledger) openChannel(name string) (*Channel, error) {
 			peer.Ledger().SetSnapshotEvery(cfg.SnapshotEvery)
 		}
 		ch.WAL = wal
-	} else if cfg.SnapshotEvery > 0 {
-		for _, id := range net.PeerIDs() {
-			if peer, perr := net.Peer(id); perr == nil {
-				peer.Ledger().SetSnapshotEvery(cfg.SnapshotEvery)
-			}
-		}
 	}
-	if cfg.Batch {
-		ch.Batcher = blockchain.NewBatcher(net, blockchain.BatcherConfig{
-			Registry: cfg.Registry, Tracer: cfg.Tracer,
-		})
-	}
+	ch.Batcher = blockchain.NewBatcher(net, blockchain.BatcherConfig{
+		Registry: cfg.Registry, Tracer: cfg.Tracer,
+	})
 	return ch, nil
 }
 
@@ -287,12 +257,6 @@ func (m *Ledger) ChannelNames() []string { return append([]string(nil), m.names.
 // Channels returns the channels in index order.
 func (m *Ledger) Channels() []*Channel { return append([]*Channel(nil), m.chans...) }
 
-// Channel returns one channel by name.
-func (m *Ledger) Channel(name string) (*Channel, bool) {
-	ch, ok := m.byName[name]
-	return ch, ok
-}
-
 // Submit routes one transaction to its owning channel and runs the
 // full submit lifecycle there (ssi.Ledger / ingest.Ledger).
 func (m *Ledger) Submit(tx blockchain.Transaction, timeout time.Duration) error {
@@ -311,7 +275,7 @@ func (m *Ledger) SubmitCtx(tx blockchain.Transaction, timeout time.Duration, par
 		ch.routed.Inc()
 	}
 	start := ch.routeLat.Start()
-	err := ch.submit(tx, timeout, sc)
+	err := ch.Batcher.SubmitCtx(tx, timeout, sc)
 	ch.routeLat.ObserveSinceTrace(start, sc.TraceID)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -353,23 +317,30 @@ func (m *Ledger) SubmitBatch(txs []blockchain.Transaction, timeout time.Duration
 	return errors.Join(errs...)
 }
 
-// Flush drains every channel's batcher (ingest.LedgerFlusher); no-op
-// without batching.
+// Flush drains every channel's batcher (ingest.LedgerFlusher).
 func (m *Ledger) Flush() {
 	for _, ch := range m.chans {
-		if ch.Batcher != nil {
-			ch.Batcher.Flush()
-		}
+		ch.Batcher.Flush()
 	}
 }
 
+// SubmitHealth is one channel's submit-path check: its error (nil =
+// endorsing) and how long the endorsement round took.
+type SubmitHealth struct {
+	Err     error
+	Elapsed time.Duration
+}
+
 // ChannelHealth runs every channel's side-effect-free submit-path
-// check, keyed by channel name (nil = healthy). The monitor's ledger
-// probe aggregates this worst-state.
-func (m *Ledger) ChannelHealth() map[string]error {
-	out := make(map[string]error, len(m.chans))
+// check once, timing each channel on its own, keyed by channel name.
+// One call is one probe sweep: the monitor's aggregate and per-channel
+// ledger checks all read the same result.
+func (m *Ledger) ChannelHealth() map[string]SubmitHealth {
+	out := make(map[string]SubmitHealth, len(m.chans))
 	for _, ch := range m.chans {
-		out[ch.Name] = ch.Net.CheckSubmitPath()
+		start := time.Now()
+		err := ch.Net.CheckSubmitPath()
+		out[ch.Name] = SubmitHealth{Err: err, Elapsed: time.Since(start)}
 	}
 	return out
 }
@@ -452,9 +423,7 @@ func (m *Ledger) Close() {
 			wg.Add(1)
 			go func(ch *Channel) {
 				defer wg.Done()
-				if ch.Batcher != nil {
-					ch.Batcher.Close()
-				}
+				ch.Batcher.Close()
 				ch.Net.Close()
 				if ch.WAL != nil {
 					ch.WAL.Close()

@@ -107,9 +107,7 @@ func TestSubmitBatchSplitsAcrossChannels(t *testing.T) {
 }
 
 func TestBatcherPathFlushAndClose(t *testing.T) {
-	m := newFabric(t, 2, func(c *Config) {
-		c.Batch = true
-	})
+	m := newFabric(t, 2, nil)
 	for i := 0; i < 10; i++ {
 		if err := m.Submit(testTx(fmt.Sprintf("b-ref-%d", i), 0), 5*time.Second); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -180,9 +178,9 @@ func TestChannelHealthAndLeaders(t *testing.T) {
 	if len(health) != 2 {
 		t.Fatalf("ChannelHealth returned %d channels, want 2", len(health))
 	}
-	for name, err := range health {
-		if err != nil {
-			t.Fatalf("channel %s unhealthy on a clean fabric: %v", name, err)
+	for name, h := range health {
+		if h.Err != nil {
+			t.Fatalf("channel %s unhealthy on a clean fabric: %v", name, h.Err)
 		}
 	}
 	// Leaders settle; every channel reports one eventually.
@@ -207,8 +205,8 @@ func TestChannelHealthAndLeaders(t *testing.T) {
 	// (the fault point is shared), never silently.
 	faults.Enable(blockchain.FaultSubmit, faultinject.Fault{ErrorRate: 1})
 	health = m.ChannelHealth()
-	for name, err := range health {
-		if err == nil {
+	for name, h := range health {
+		if h.Err == nil {
 			t.Fatalf("channel %s healthy under a 100%% submit fault", name)
 		}
 	}

@@ -52,18 +52,3 @@ func TestChannelRingSkewBound(t *testing.T) {
 		t.Errorf("balanced arc-share skew %.3f exceeds 1.25", skew)
 	}
 }
-
-// TestUnbalancedRingOptOutKeepsLegacyRouting pins the migration
-// contract: a fabric opened with UnbalancedRing routes exactly as every
-// pre-balanced-ring fabric did, so existing DataDirs stay readable.
-func TestUnbalancedRingOptOutKeepsLegacyRouting(t *testing.T) {
-	legacyRing := shardlake.NewRing([]string{"ch-0", "ch-1", "ch-2", "ch-3"}, ringVnodes, testSeed)
-	m := newFabric(t, 4, func(c *Config) { c.UnbalancedRing = true })
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("record-%05d", i)
-		want := legacyRing.Placement(routeDigest(key), 1)[0]
-		if got := m.Route(key); got != want {
-			t.Fatalf("key %s: opt-out fabric routes to %s, legacy ring says %s", key, got, want)
-		}
-	}
-}

@@ -20,9 +20,7 @@ func TestMultiChainStress(t *testing.T) {
 		perWorker = 10
 		channels  = 4
 	)
-	m := newFabric(t, channels, func(c *Config) {
-		c.Batch = true
-	})
+	m := newFabric(t, channels, nil)
 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"healthcloud/internal/faultinject"
@@ -106,8 +107,9 @@ type DataLake struct {
 	// when set, every storage operation holds the node's "device" for
 	// svcTime, so shard-scaling experiments measure a real bottleneck
 	// instead of an uncontended map insert. Zero (the default) disables
-	// the model entirely.
-	svcTime time.Duration
+	// the model entirely. Atomic: experiments retune it (E24 drops it to
+	// drain a backlog) while pipeline workers are mid-operation.
+	svcTime atomic.Int64 // nanoseconds
 	svcMu   sync.Mutex
 	// journal, when set, persists every mutation write-ahead (see
 	// journal.go); nil keeps the lake purely in-memory.
@@ -149,17 +151,18 @@ func (d *DataLake) SetFaultScope(scope string) {
 // SetServiceTime enables the storage-node capacity model: each Put/Get
 // (sealed variants included) occupies the node serially for dur. Zero
 // restores the default free-of-charge in-memory behavior.
-func (d *DataLake) SetServiceTime(dur time.Duration) { d.svcTime = dur }
+func (d *DataLake) SetServiceTime(dur time.Duration) { d.svcTime.Store(int64(dur)) }
 
 // serviceDelay charges one operation's service time against the node's
 // single "device" (held exclusively, like a disk spindle or a saturated
 // NIC), making per-shard throughput finite when the model is on.
 func (d *DataLake) serviceDelay() {
-	if d.svcTime <= 0 {
+	dur := time.Duration(d.svcTime.Load())
+	if dur <= 0 {
 		return
 	}
 	d.svcMu.Lock()
-	time.Sleep(d.svcTime)
+	time.Sleep(dur)
 	d.svcMu.Unlock()
 }
 
