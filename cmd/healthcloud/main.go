@@ -40,7 +40,6 @@ func run() error {
 	snapEvery := flag.Int("ledger-snapshot-every", 0, "cut a ledger world-state snapshot into the WAL every K blocks so restarts replay from the snapshot instead of the full chain (0 disables)")
 	obs := flag.Bool("telemetry", true, "serve metrics at /metrics and traces at /traces/{id}")
 	traceSample := flag.Float64("trace-sample", 0, "tail-sampling keep probability for unremarkable traces (0 = keep all; errored traces and the slowest roots are always kept)")
-	traceSlowK := flag.Int("trace-slow-k", 0, "pin the K slowest traces per root span name in the trace store (0 = default 8)")
 	mon := flag.Bool("monitor", true, "run the self-monitoring watchdog (/readyz, /statusz, /metrics/history)")
 	monInterval := flag.Duration("monitor-interval", time.Second, "watchdog tick period")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (own listener; empty disables)")
@@ -51,8 +50,7 @@ func run() error {
 	adm := flag.Bool("admission", false, "enable admission control: per-tenant token buckets (429) and queue-depth load shedding (503), both with honest Retry-After")
 	admRate := flag.Float64("admission-rate", 0, "default per-tenant admission rate in requests/sec for tenants without a metered quota (0 = 200/s)")
 	admBurst := flag.Float64("admission-burst", 0, "default per-tenant burst capacity (0 = 2x rate)")
-	shedBulk := flag.Int("shed-bulk-depth", 0, "ingest backlog above which bulk traffic (uploads, registrations) sheds (0 = 256)")
-	shedNormal := flag.Int("shed-normal-depth", 0, "deeper backlog limit for interactive traffic (0 = 4x bulk depth); critical traffic is never shed")
+	shedBulk := flag.Int("shed-bulk-depth", 0, "ingest backlog above which bulk traffic (uploads, registrations) sheds (0 = 256; interactive traffic at 4x, critical never)")
 	flag.Parse()
 
 	kbCfg := kb.DefaultConfig()
@@ -72,7 +70,6 @@ func run() error {
 	if *obs {
 		cfg.Telemetry = telemetry.New()
 		cfg.TraceSample = *traceSample
-		cfg.TraceSlowK = *traceSlowK
 	}
 	if *mon {
 		cfg.Monitor = true
@@ -83,7 +80,6 @@ func run() error {
 		cfg.AdmissionRate = *admRate
 		cfg.AdmissionBurst = *admBurst
 		cfg.ShedBulkDepth = *shedBulk
-		cfg.ShedNormalDepth = *shedNormal
 	}
 	var pprofSrv *http.Server
 	if *pprofAddr != "" {

@@ -395,7 +395,7 @@ func TestBatcherCloseDrains(t *testing.T) {
 // counters land in the registry under the network label.
 func TestBatcherTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer(8, 64)
+	tr := telemetry.NewTracer(8, 64, telemetry.DefaultPolicy())
 	n := newTestNetwork(t, 3, 2, WithTelemetry(reg, tr))
 	b := NewBatcher(n, BatcherConfig{MaxBatch: 8, Registry: reg, Tracer: tr})
 	defer b.Close()

@@ -65,8 +65,6 @@ type Config struct {
 	// It is a design decision." — every event type shares the fabric;
 	// Channels partitions it by record key.
 	LedgerPeers []string
-	// EndorsementK is the endorsement policy (default: majority).
-	EndorsementK int
 	// SignatureScheme selects the endorsement signature scheme for the
 	// provenance ledger peers: "ed25519" (the default) or "rsa"/"rsa-pss"
 	// (the compatibility scheme stored artifacts were endorsed under).
@@ -89,17 +87,10 @@ type Config struct {
 	// Deprecated: batching is always on; kept only because
 	// bench/platform.go sets it — delete with the next benchmark PR.
 	LedgerBatch bool
-	// IngestWorkers is the background worker count (default 4).
-	IngestWorkers int
-	// RequiredK is the export k-anonymity policy (default 2).
-	RequiredK int
 	// KBLatency simulates WAN distance to the external knowledge bases.
 	KBLatency time.Duration
 	// KBDataset overrides the default synthetic knowledge base.
 	KBDataset *kb.Dataset
-	// IngestMaxAttempts caps bus deliveries per ingest message before it
-	// dead-letters (default 5; <0 disables the cap).
-	IngestMaxAttempts int
 	// DataDir roots the durable persistence layer: each Data Lake shard
 	// journals to <DataDir>/shards/shard-<i> and each ledger channel
 	// write-ahead-logs committed blocks to <DataDir>/ledger/ch-<i>, so a
@@ -129,9 +120,6 @@ type Config struct {
 	// unremarkable traces (0 = keep the tracer's default policy;
 	// errored traces and the slowest roots are always kept).
 	TraceSample float64
-	// TraceSlowK overrides how many of the slowest traces per root
-	// span name stay pinned in the trace store (0 = policy default).
-	TraceSlowK int
 	// Admission enables the admission-control layer: per-tenant token
 	// buckets refilled from metering quotas, queue-depth load shedding
 	// with honest Retry-After, and priority classes (experiment E24).
@@ -145,11 +133,9 @@ type Config struct {
 	AdmissionBurst float64
 	// ShedBulkDepth is the ingest backlog above which bulk traffic
 	// (uploads, registrations) sheds with 503 + Retry-After (default
-	// 256); ShedNormalDepth is the deeper limit for interactive traffic
-	// (default 4x). Critical traffic (health probes, consent revocations)
-	// is never shed.
-	ShedBulkDepth   int
-	ShedNormalDepth int
+	// 256); interactive traffic sheds at 4x that depth. Critical traffic
+	// (health probes, consent revocations) is never shed.
+	ShedBulkDepth int
 	// Monitor enables the self-monitoring layer: a metrics history ring
 	// sampled from Telemetry, SLO evaluation with error budgets,
 	// dependency-aware health probes behind /readyz and /statusz, and a
@@ -234,18 +220,6 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.Tenant == "" {
 		return nil, errors.New("core: tenant required")
 	}
-	if cfg.IngestWorkers <= 0 {
-		cfg.IngestWorkers = 4
-	}
-	if cfg.RequiredK <= 0 {
-		cfg.RequiredK = 2
-	}
-	switch {
-	case cfg.IngestMaxAttempts == 0:
-		cfg.IngestMaxAttempts = 5
-	case cfg.IngestMaxAttempts < 0:
-		cfg.IngestMaxAttempts = 0 // explicit opt-out: unlimited redelivery
-	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -260,14 +234,9 @@ func New(cfg Config) (*Platform, error) {
 	p := &Platform{cfg: cfg, Telemetry: cfg.Telemetry,
 		LakeLogs: make(map[string]*durable.LakeLog)}
 	reg, tracer := cfg.Telemetry.Registry(), cfg.Telemetry.Spans()
-	if tracer != nil && (cfg.TraceSample > 0 || cfg.TraceSlowK > 0) {
+	if tracer != nil && cfg.TraceSample > 0 {
 		pol := telemetry.DefaultPolicy()
-		if cfg.TraceSample > 0 {
-			pol.SampleRate = cfg.TraceSample
-		}
-		if cfg.TraceSlowK > 0 {
-			pol.SlowK = cfg.TraceSlowK
-		}
+		pol.SampleRate = cfg.TraceSample
 		tracer.SetPolicy(pol)
 	}
 
@@ -283,7 +252,7 @@ func New(cfg Config) (*Platform, error) {
 	if err := p.RBAC.CreateTenant(cfg.Tenant); err != nil {
 		return nil, fmt.Errorf("core: tenant: %w", err)
 	}
-	p.Bus = bus.New(bus.WithMaxAttempts(cfg.IngestMaxAttempts),
+	p.Bus = bus.New(bus.WithMaxAttempts(ingestMaxAttempts),
 		bus.WithTelemetry(reg, tracer))
 	// All shards hang off the one KMS (the trust plane stays unsharded),
 	// so replicas are byte-identical sealed records and grants/
@@ -319,6 +288,14 @@ func New(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: shardlake: %w", err)
 	}
+	if cfg.DataDir != "" {
+		if err := settlePlacement(cfg.DataDir, p.ShardLake); err != nil {
+			for _, log := range p.LakeLogs {
+				log.Close()
+			}
+			return nil, err
+		}
+	}
 	p.ShardLake.StartPump(time.Second)
 	p.Lake = p.ShardLake
 	p.IDMap = store.NewIdentityMap("svc-reident")
@@ -326,7 +303,7 @@ func New(cfg Config) (*Platform, error) {
 	if p.Scanner, err = scan.NewScanner(scan.DefaultSignatures()...); err != nil {
 		return nil, fmt.Errorf("core: scanner: %w", err)
 	}
-	p.Verifier = &anonymize.VerificationService{RequiredK: cfg.RequiredK}
+	p.Verifier = &anonymize.VerificationService{RequiredK: exportRequiredK}
 
 	// ledger stays a nil interface when the blockchain is disabled. The
 	// fabric routes each provenance event to its owning channel's
@@ -343,7 +320,7 @@ func New(cfg Config) (*Platform, error) {
 		}
 		p.MultiChain, err = multichain.New(multichain.Config{
 			Name: "hcls-ledger", Channels: cfg.Channels,
-			PeerIDs: cfg.LedgerPeers, PolicyK: cfg.EndorsementK,
+			PeerIDs: cfg.LedgerPeers,
 			Seed:    ledgerRingSeed,
 			DataDir: mcDir, SnapshotEvery: cfg.LedgerSnapshotEvery,
 			Scheme: scheme,
@@ -369,7 +346,7 @@ func New(cfg Config) (*Platform, error) {
 	}
 	p.Ingest.Staging().SetFaults(cfg.Faults)
 	p.Ingest.Staging().SetTelemetry(reg)
-	p.Ingest.Start(cfg.IngestWorkers)
+	p.Ingest.Start(ingestWorkers)
 
 	p.Analytics = analytics.NewPlatform(p.Audit)
 	p.Services = services.NewRegistry()
@@ -390,10 +367,9 @@ func New(cfg Config) (*Platform, error) {
 				q, ok := meter.QuotaFor(tenant)
 				return q.PerSec, q.Burst, ok
 			},
-			Estimator:   p.DrainEst,
-			BulkDepth:   cfg.ShedBulkDepth,
-			NormalDepth: cfg.ShedNormalDepth,
-			Registry:    reg,
+			Estimator: p.DrainEst,
+			BulkDepth: cfg.ShedBulkDepth,
+			Registry:  reg,
 		})
 	}
 
@@ -461,6 +437,53 @@ func adoptLegacyLayout(dir string) error {
 	return nil
 }
 
+// placementMarker names the ring that laid out <DataDir>/shards. It is
+// written to <DataDir>/shards/placement once the shards sit where the
+// ring places them.
+const placementMarker = "balanced-sha256"
+
+// settlePlacement moves a data dir written before the marker existed
+// (under an earlier ring) onto the current ring once — on a fresh dir
+// there is nothing to move — then writes the marker; a dir marked by any
+// other ring is refused.
+func settlePlacement(dir string, lake *shardlake.Lake) error {
+	path := filepath.Join(dir, "shards", "placement")
+	got, err := os.ReadFile(path)
+	if err == nil {
+		if have := strings.TrimSpace(string(got)); have != placementMarker {
+			return fmt.Errorf("core: %s names placement %q, this build places by %q", path, have, placementMarker)
+		}
+		return nil
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("core: placement marker: %w", err)
+	}
+	if err := lake.Resettle(); err != nil {
+		return fmt.Errorf("core: resettling %s: %w", dir, err)
+	}
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err == nil {
+		if _, err = f.WriteString(placementMarker + "\n"); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return fmt.Errorf("core: placement marker: %w", err)
+	}
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
+}
+
 // Monitoring thresholds for the default probes and objectives. The
 // ledger probe's ceiling sits well above the few ms a healthy
 // in-process endorsement round takes, so only genuine slowdowns (like
@@ -470,6 +493,12 @@ const (
 	monitorFsyncSlow     = 250 * time.Millisecond // durable probe's fsync-latency ceiling
 	monitorQueueDegraded = 1000                   // ingest backlog before the queue probe degrades
 	monitorSLOWindow     = time.Minute
+	// ingestWorkers is the background ingest worker count,
+	// ingestMaxAttempts the bus deliveries per ingest message before it
+	// dead-letters, and exportRequiredK the export k-anonymity policy.
+	ingestWorkers     = 4
+	ingestMaxAttempts = 5
+	exportRequiredK   = 2
 	// lakeRingSeed pins shardlake placement so experiments and tests see
 	// the same layout on every run.
 	lakeRingSeed = 1907

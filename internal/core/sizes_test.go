@@ -126,9 +126,14 @@ func TestPlatformSizes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const uploads = 12 // enough keys that every channel of 4 owns one
-			refs := make([]string, 0, uploads)
-			for i := 0; i < uploads; i++ {
+			// Reference ids are random, so keep uploading past 12 until every
+			// channel's batcher has been routed one.
+			var refs []string
+			routed := make(map[string]bool)
+			for i := 0; i < 12 || len(routed) < sz.wantChannels; i++ {
+				if i == 200 {
+					t.Fatalf("200 uploads reached only channels %v", routed)
+				}
 				st, sum := uploadBundle(t, p, "device-1", key, fmt.Sprintf("patient-%02d", i))
 				if st.State != ingest.StateStored {
 					t.Fatalf("upload %d: %+v", i, st)
@@ -147,10 +152,12 @@ func TestPlatformSizes(t *testing.T) {
 					t.Fatalf("record %s does not hold the bytes sent", st.RefID)
 				}
 				refs = append(refs, st.RefID)
+				routed[p.MultiChain.Route(st.RefID)] = true
 				if trail := p.MultiChain.ProvenanceTrail(st.RefID); len(trail) != 1 || trail[0].Type != blockchain.EventDataReceipt {
 					t.Errorf("provenance trail for %s = %+v", st.RefID, trail)
 				}
 			}
+			uploads := len(refs)
 			if got := p.MultiChain.TxCount(); got != uploads {
 				t.Errorf("fabric tx count = %d, want %d", got, uploads)
 			}
@@ -419,5 +426,105 @@ func TestLegacyDataDirAdoption(t *testing.T) {
 	}
 	if _, err := New(cfg); err == nil {
 		t.Error("data dir with both lake layouts opened")
+	}
+}
+
+// TestPlacementResettle builds a 4-shard data dir whose records sit
+// outside their ring placement and carries no placement marker — the
+// layout an earlier ring left behind — then opens it at 4 shards × R=2:
+// the first open moves every record onto exactly its placement and
+// writes the marker, the second moves nothing, and a dir marked by a
+// foreign ring is refused.
+func TestPlacementResettle(t *testing.T) {
+	dir := t.TempDir()
+	kms, err := hckrypto.NewKMS("mercy-health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 4)
+	shards := make(map[string]*store.DataLake, 4)
+	logs := make([]*durable.LakeLog, 0, 4)
+	for i := range names {
+		names[i] = shardlake.ShardName(i)
+		lake := store.NewDataLake(kms, "svc-storage")
+		log, err := durable.OpenLake(filepath.Join(dir, "shards", names[i]), lake, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lake.SetJournal(log)
+		shards[names[i]], logs = lake, append(logs, log)
+	}
+	ring := shardlake.NewBalancedRing(names, 64, lakeRingSeed)
+	sums := make(map[string][32]byte)
+	for i := 0; i < 40; i++ {
+		s, err := shards[names[0]].Seal(fmt.Sprintf("patient-%d", i), []byte(fmt.Sprint("record ", i)),
+			store.Meta{Tenant: "mercy-health", Group: "study-1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ring.Placement(s.RefID, 2)
+		for _, name := range names {
+			if name != want[0] && name != want[1] {
+				if err := shards[name].PutSealed(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sums[s.RefID] = sha256.Sum256(s.Ciphertext)
+	}
+	for _, log := range logs {
+		log.Close()
+	}
+
+	cfg := Config{Tenant: "mercy-health", KBDataset: smallKB(t), DataDir: dir, Shards: 4, Replicas: 2}
+	for open := 1; open <= 2; open++ {
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatalf("open %d: %v", open, err)
+		}
+		if moved := p.ShardLake.Moved(); (open == 1) != (moved > 0) {
+			t.Errorf("open %d moved %d objects", open, moved)
+		}
+		if objects, divergent := p.ShardLake.VerifyConvergence(); objects != len(sums) || divergent != nil {
+			t.Errorf("open %d: %d objects, divergent %v", open, objects, divergent)
+		}
+		for ref := range sums {
+			if _, err := p.Lake.Meta(ref); err != nil {
+				t.Errorf("open %d: ref %s: %v", open, ref, err)
+			}
+		}
+		p.Close()
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "shards", "placement")); err != nil || string(got) != placementMarker+"\n" {
+		t.Fatalf("placement marker = %q, %v", got, err)
+	}
+
+	// Every copy sits on exactly its placement, byte-identical.
+	for _, name := range names {
+		lake := store.NewDataLake(kms, "svc-storage")
+		log, err := durable.OpenLake(filepath.Join(dir, "shards", name), lake, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ref, sum := range sums {
+			want := ring.Placement(ref, 2)
+			s, err := lake.GetSealed(ref)
+			switch placed := name == want[0] || name == want[1]; {
+			case placed && err != nil:
+				t.Errorf("%s: ref %s missing from its placement: %v", name, ref, err)
+			case placed && sha256.Sum256(s.Ciphertext) != sum:
+				t.Errorf("%s: ref %s ciphertext changed in the move", name, ref)
+			case !placed && err == nil:
+				t.Errorf("%s: ref %s left outside its placement %v", name, ref, want)
+			}
+		}
+		log.Close()
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "shards", "placement"), []byte("fnv1a\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(cfg); err == nil {
+		t.Error("data dir marked by a foreign placement opened")
 	}
 }

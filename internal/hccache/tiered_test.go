@@ -179,7 +179,7 @@ func TestTieredInvalidateAllTiers(t *testing.T) {
 func TestTieredGetCtxSpans(t *testing.T) {
 	var loads atomic.Uint64
 	tc, _, _ := twoTier(t, 4, &loads)
-	tr := telemetry.NewTracer(0, 0)
+	tr := telemetry.NewTracer(0, 0, telemetry.DefaultPolicy())
 	tc.SetTelemetry(telemetry.NewRegistry(), tr)
 
 	// Untraced get: metrics only, no spans.
@@ -191,15 +191,16 @@ func TestTieredGetCtxSpans(t *testing.T) {
 	}
 
 	root := tr.StartRoot("test.request")
-	if _, err := tc.GetCtx("loud", root.Context()); err != nil { // full miss -> origin
+	sc := root.Context()
+	if _, err := tc.GetCtx("loud", sc); err != nil { // full miss -> origin
 		t.Fatalf("traced miss: %v", err)
 	}
-	if _, err := tc.GetCtx("loud", root.Context()); err != nil { // tier-0 hit
+	if _, err := tc.GetCtx("loud", sc); err != nil { // tier-0 hit
 		t.Fatalf("traced hit: %v", err)
 	}
 	root.End()
 
-	spans := tr.Trace(root.Context().TraceID.String())
+	spans := tr.Trace(sc.TraceID.String())
 	byName := map[string][]telemetry.SpanRecord{}
 	for _, sp := range spans {
 		byName[sp.Name] = append(byName[sp.Name], sp)
@@ -211,8 +212,8 @@ func TestTieredGetCtxSpans(t *testing.T) {
 		t.Fatalf("cache.origin spans = %d, want 1 (trace: %v)", got, names(spans))
 	}
 	for _, sp := range byName["cache.get"] {
-		if sp.ParentID != root.Context().SpanID.String() {
-			t.Errorf("cache.get parent = %s, want root %s", sp.ParentID, root.Context().SpanID)
+		if sp.ParentID != sc.SpanID.String() {
+			t.Errorf("cache.get parent = %s, want root %s", sp.ParentID, sc.SpanID)
 		}
 	}
 	var outcomes []string

@@ -72,22 +72,22 @@ func TestAdmissionRateLimit429(t *testing.T) {
 // TestAdmissionShedsBulkKeepsCritical pins the priority-class contract:
 // with the ingest backlog over the bulk shed line, uploads answer 503 +
 // Retry-After while consent changes (critical) and interactive reads
-// (normal, deeper limit) keep landing.
+// (normal, at 4x the bulk depth) keep landing.
 func TestAdmissionShedsBulkKeepsCritical(t *testing.T) {
 	faults := faultinject.NewRegistry(24)
 	f := newAPIWith(t, func(cfg *core.Config) {
 		cfg.Faults = faults
 		cfg.Admission = true
 		cfg.AdmissionRate = 1e6 // buckets out of the way: this test is about shedding
-		cfg.ShedBulkDepth = 4
-		cfg.ShedNormalDepth = 1000
+		cfg.ShedBulkDepth = 4   // interactive traffic sheds at 16
 	})
-	// Build a real backlog: slow the lake's writes down (two puts per
-	// upload, four workers: ~1.6 s to drain 40) and enqueue well past the
-	// bulk limit (directly through the pipeline — the HTTP path would
-	// start shedding at depth 4 and never let the queue grow).
+	// Build a real backlog between the two lines: slow the lake's writes
+	// down (two puts per upload, four workers: ~2 s to drain 16, the
+	// queue holding 12 for the first 500 ms) and enqueue past the bulk
+	// limit (directly through the pipeline — the HTTP path would start
+	// shedding at depth 4 and never let the queue grow).
 	faults.Enable(shardlake.FaultPoint(shardlake.ShardName(0), "put"),
-		faultinject.Fault{LatencyRate: 1, Latency: 80 * time.Millisecond})
+		faultinject.Fault{LatencyRate: 1, Latency: 250 * time.Millisecond})
 	key, err := f.p.Ingest.RegisterClient("flood-device")
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestAdmissionShedsBulkKeepsCritical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 16; i++ {
 		if _, err := f.p.Ingest.Upload("flood-device", "study-x", encrypted); err != nil {
 			t.Fatal(err)
 		}
@@ -145,6 +145,9 @@ func TestAdmissionShedsBulkKeepsCritical(t *testing.T) {
 	}
 
 	// Normal: deeper limit, still admitted at this backlog.
+	if depth := f.p.Ingest.QueueDepth(); depth >= 16 {
+		t.Fatalf("backlog %d at the interactive shed line, fixture broken", depth)
+	}
 	if resp := f.doRaw(t, "GET", "/api/v1/billing", f.admin); resp.StatusCode != http.StatusOK {
 		t.Fatalf("normal read during bulk shedding = %d, want 200", resp.StatusCode)
 	}

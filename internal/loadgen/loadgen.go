@@ -16,7 +16,8 @@
 package loadgen
 
 import (
-	"hash/fnv"
+	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"time"
@@ -145,9 +146,9 @@ func (e *Engine) runFleet(f Fleet) FleetReport {
 	sem := make(chan struct{}, conc)
 	// Deterministic op mix per fleet name: reruns offer the same op
 	// sequence, so run-to-run diffs are platform-side.
-	h := fnv.New64a()
-	h.Write([]byte(f.Name))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	sum := sha256.Sum256([]byte(f.Name))
+	seed := int64(binary.BigEndian.Uint64(sum[:8]))
+	rng := rand.New(rand.NewSource(seed))
 	totalWeight := 0
 	for _, op := range f.Ops {
 		if op.Weight <= 0 {
@@ -161,7 +162,7 @@ func (e *Engine) runFleet(f Fleet) FleetReport {
 	for _, ph := range f.Phases {
 		st := &phaseStats{
 			ops: make(map[string]uint64), maxLat: e.cfg.MaxSamples,
-			rng: rand.New(rand.NewSource(int64(h.Sum64()) ^ int64(len(out.Phases)))),
+			rng: rand.New(rand.NewSource(seed ^ int64(len(out.Phases)))),
 		}
 		start := time.Now()
 		last := start

@@ -24,7 +24,7 @@ func newTestWatchdog(t *testing.T) (*Watchdog, *telemetry.Registry, *audit.Log, 
 	log := audit.NewLog()
 	w := NewWatchdog(WatchdogConfig{
 		History: h, Evaluator: ev, Prober: p, Audit: log,
-		Tracer: telemetry.NewTracer(16, 16),
+		Tracer: telemetry.NewTracer(16, 16, telemetry.DefaultPolicy()),
 	})
 	return w, reg, log, &state
 }

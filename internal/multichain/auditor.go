@@ -11,17 +11,16 @@ import (
 // Ordering rules:
 //
 //   - Per record, order is total and verifiable: every event of one
-//     record routes to one channel (RouteKey), so the triple
-//     (Epoch, Height, Index) on that channel — channel epoch, block
-//     height, intra-block index — totally orders the record's history,
-//     anchored by the channel's hash chain.
+//     record routes to one channel (RouteKey), so the pair
+//     (Height, Index) on that channel — block height, intra-block
+//     index — totally orders the record's history, anchored by the
+//     channel's hash chain.
 //   - Across records (and therefore channels) there is no single
 //     hash-anchored order; merged views sort by (Timestamp, Channel,
 //     Height, Index), which is deterministic and stable under replay
 //     because every component is committed on-chain.
 type Entry struct {
 	Channel string
-	Epoch   uint64
 	Height  uint64 // block number within the channel
 	Index   int    // transaction index within the block
 	Tx      blockchain.Transaction
@@ -63,7 +62,7 @@ func (a *Auditor) TotalOrder(handle string) ([]Entry, error) {
 	if err := led.VerifyChain(); err != nil {
 		return nil, fmt.Errorf("multichain: auditor: channel %s: %w", name, err)
 	}
-	return collectEntries(ch, a.m.cfg.Epoch, func(tx *blockchain.Transaction) bool {
+	return collectEntries(ch, func(tx *blockchain.Transaction) bool {
 		return tx.Handle == handle
 	})
 }
@@ -78,7 +77,7 @@ func (a *Auditor) Entries(q blockchain.AuditQuery) ([]Entry, error) {
 		if err := led.VerifyChain(); err != nil {
 			return nil, fmt.Errorf("multichain: auditor: channel %s: %w", ch.Name, err)
 		}
-		entries, err := collectEntries(ch, a.m.cfg.Epoch, func(tx *blockchain.Transaction) bool {
+		entries, err := collectEntries(ch, func(tx *blockchain.Transaction) bool {
 			return matchesQuery(tx, q)
 		})
 		if err != nil {
@@ -123,7 +122,7 @@ func (m *Ledger) ProvenanceTrail(handle string) []blockchain.Transaction {
 // collectEntries walks one channel's retained blocks (Base and up —
 // transactions folded into a restore snapshot live in the WAL prefix,
 // not in memory) collecting matching transactions in chain order.
-func collectEntries(ch *Channel, epoch uint64, match func(*blockchain.Transaction) bool) ([]Entry, error) {
+func collectEntries(ch *Channel, match func(*blockchain.Transaction) bool) ([]Entry, error) {
 	led := ch.ledger()
 	var out []Entry
 	for n := led.Base(); n < uint64(led.Height()); n++ {
@@ -134,8 +133,7 @@ func collectEntries(ch *Channel, epoch uint64, match func(*blockchain.Transactio
 		for i := range b.Txs {
 			if match(&b.Txs[i]) {
 				out = append(out, Entry{
-					Channel: ch.Name, Epoch: epoch,
-					Height: b.Number, Index: i, Tx: b.Txs[i],
+					Channel: ch.Name, Height: b.Number, Index: i, Tx: b.Txs[i],
 				})
 			}
 		}

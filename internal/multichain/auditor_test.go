@@ -13,7 +13,7 @@ import (
 // comparable across restarts (transaction timestamps don't round-trip
 // bit-identically through JSON monotonic-clock stripping).
 func entrySig(e Entry) string {
-	return fmt.Sprintf("%s@%d/%s/%d/%d", e.Tx.ID, e.Epoch, e.Channel, e.Height, e.Index)
+	return fmt.Sprintf("%s@%s/%d/%d", e.Tx.ID, e.Channel, e.Height, e.Index)
 }
 
 // TestAuditorTotalOrderUnderInterleaving is the cross-channel property

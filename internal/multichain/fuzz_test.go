@@ -28,9 +28,9 @@ func FuzzChannelAssignment(f *testing.F) {
 			reversed[n-1-i] = ChannelName(i)
 		}
 		digest := routeDigest(key)
-		a := shardlake.NewRing(names, ringVnodes, seed).Placement(digest, 1)[0]
-		b := shardlake.NewRing(reversed, ringVnodes, seed).Placement(digest, 1)[0]
-		c := shardlake.NewRing(names, ringVnodes, seed).Placement(digest, 1)[0]
+		a := shardlake.NewBalancedRing(names, ringVnodes, seed).Placement(digest, 1)[0]
+		b := shardlake.NewBalancedRing(reversed, ringVnodes, seed).Placement(digest, 1)[0]
+		c := shardlake.NewBalancedRing(names, ringVnodes, seed).Placement(digest, 1)[0]
 		if a != b {
 			t.Fatalf("key %q (n=%d seed=%d): %s from sorted build, %s from reversed build", key, n, seed, a, b)
 		}

@@ -60,9 +60,6 @@ type Config struct {
 	// refused at open time via the per-channel WAL chains themselves:
 	// replayed blocks would no longer match incoming traffic's routing.
 	Seed int64
-	// Epoch stamps auditor entries; bump it when a channel layout
-	// migration re-anchors chains (0 for the initial layout).
-	Epoch uint64
 	// DataDir, when set, gives every channel its own WAL directory
 	// (<DataDir>/ch-<i>) replayed on open. The channel count must stay
 	// stable for a given DataDir.
@@ -234,12 +231,10 @@ func RouteKey(tx *blockchain.Transaction) string {
 	}
 }
 
-// routeDigest pre-digests a route key before ring placement. The ring
-// hashes with FNV-1a, whose suffix changes diffuse weakly into the
-// high bits that select a ring arc — and real record keys share long
-// prefixes ("patient-00042"), which would clump whole key families
-// onto one or two channels. SHA-256 gives full avalanche, so
-// structured and unstructured keys spread alike.
+// routeDigest pre-digests a route key before ring placement. The
+// balanced ring already hashes keys with SHA-256; the digest stays
+// because routing is part of the durable format — every channel's
+// existing records were placed through it.
 func routeDigest(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:8])

@@ -81,12 +81,30 @@ func (l *Lake) RemoveShard(name string) error {
 // mid-migration reads) and spawns the migrator. Caller holds l.mu.
 func (l *Lake) startRebalanceLocked(names []string, leaving string) {
 	l.prev = l.ring
-	l.ring = NewRing(names, l.vnodes, l.seed)
+	l.ring = NewBalancedRing(names, ringVNodes, l.seed)
 	l.rebalancing = true
 	l.rebalanceDone = make(chan struct{})
 	done := l.rebalanceDone
 	l.wg.Add(1)
 	go l.migrate(leaving, done)
+}
+
+// Resettle runs the rebalance migration onto the current shard set and
+// waits for it: every ref on every shard is copied to its placement and
+// evicted from the shards outside it. It moves a data directory laid
+// out by an earlier ring once, at open; ErrRebalancing if a migration
+// is already running.
+func (l *Lake) Resettle() error {
+	l.mu.Lock()
+	if l.rebalancing {
+		l.mu.Unlock()
+		return ErrRebalancing
+	}
+	l.startRebalanceLocked(l.ring.Shards(), "")
+	done := l.rebalanceDone
+	l.mu.Unlock()
+	<-done
+	return nil
 }
 
 // Rebalancing reports whether a migration is in flight.
@@ -184,7 +202,7 @@ func (l *Lake) migrateOne(ref, leaving string) {
 			settled = false
 			continue
 		}
-		err := resilience.Retry(context.Background(), l.retry, func(context.Context) error {
+		err := resilience.Retry(context.Background(), replicaRetry, func(context.Context) error {
 			return shard.PutSealed(*src)
 		})
 		if err != nil {

@@ -16,7 +16,6 @@ package shardlake
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -26,8 +25,8 @@ type ringPoint struct {
 	shard string
 }
 
-// Ring is a consistent-hash ring over shard names with vnodes virtual
-// nodes per shard. It is immutable after construction: rebalancing
+// Ring is a consistent-hash ring over shard names, built only by
+// NewBalancedRing. It is immutable after construction: rebalancing
 // swaps whole rings, never edits one, so readers need no lock beyond
 // the pointer swap. The seed folds into every hash, making placement
 // deterministic per (seed, shard set) and letting tests pin exact
@@ -35,50 +34,7 @@ type ringPoint struct {
 type Ring struct {
 	points []ringPoint
 	shards []string
-	vnodes int
 	seed   int64
-	// hashFn positions points and keys; nil means the legacy FNV-1a
-	// (ringHash). NewBalancedRing installs the full-avalanche hash —
-	// point positions and key lookups must always use the same family.
-	hashFn func(seed int64, s string) uint64
-}
-
-// keyHash hashes a key with the ring's hash family.
-func (r *Ring) keyHash(s string) uint64 {
-	if r.hashFn != nil {
-		return r.hashFn(r.seed, s)
-	}
-	return ringHash(r.seed, s)
-}
-
-// NewRing builds a ring over the given shard names (order-insensitive:
-// names are sorted first so the same set always yields the same ring).
-// Every shard gets the same vnode count; NewBalancedRing reweights
-// counts to shave hash skew (at the cost of a different placement).
-func NewRing(shards []string, vnodes int, seed int64) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	names := append([]string(nil), shards...)
-	sort.Strings(names)
-	counts := make(map[string]int, len(names))
-	for _, name := range names {
-		counts[name] = vnodes
-	}
-	return newRingCounts(names, counts, vnodes, seed, nil)
-}
-
-// ringHash is 64-bit FNV-1a with the seed folded in front, so two
-// rings with different seeds place the same keys differently.
-func ringHash(seed int64, s string) uint64 {
-	h := fnv.New64a()
-	var sb [8]byte
-	for i := 0; i < 8; i++ {
-		sb[i] = byte(uint64(seed) >> (8 * i))
-	}
-	h.Write(sb[:])
-	h.Write([]byte(s))
-	return h.Sum64()
 }
 
 // Shards returns the shard names on the ring, sorted.
@@ -98,7 +54,7 @@ func (r *Ring) Placement(key string, n int) []string {
 	if n < 1 {
 		n = 1
 	}
-	h := r.keyHash(key)
+	h := avalancheHash(r.seed, key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, n)
 	seen := make(map[string]bool, n)

@@ -7,8 +7,8 @@ import (
 )
 
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing([]string{"shard-0", "shard-1", "shard-2"}, 64, 42)
-	b := NewRing([]string{"shard-2", "shard-0", "shard-1"}, 64, 42) // order-insensitive
+	a := NewBalancedRing([]string{"shard-0", "shard-1", "shard-2"}, 64, 42)
+	b := NewBalancedRing([]string{"shard-2", "shard-0", "shard-1"}, 64, 42) // order-insensitive
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("ref-%03d", i)
 		if got, want := a.Placement(key, 2), b.Placement(key, 2); !reflect.DeepEqual(got, want) {
@@ -18,8 +18,8 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 func TestRingSeedChangesPlacement(t *testing.T) {
-	a := NewRing([]string{"shard-0", "shard-1", "shard-2", "shard-3"}, 64, 1)
-	b := NewRing([]string{"shard-0", "shard-1", "shard-2", "shard-3"}, 64, 2)
+	a := NewBalancedRing([]string{"shard-0", "shard-1", "shard-2", "shard-3"}, 64, 1)
+	b := NewBalancedRing([]string{"shard-0", "shard-1", "shard-2", "shard-3"}, 64, 2)
 	moved := 0
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("ref-%03d", i)
@@ -33,7 +33,7 @@ func TestRingSeedChangesPlacement(t *testing.T) {
 }
 
 func TestRingPlacementDistinctAndClamped(t *testing.T) {
-	r := NewRing([]string{"shard-0", "shard-1", "shard-2"}, 64, 7)
+	r := NewBalancedRing([]string{"shard-0", "shard-1", "shard-2"}, 64, 7)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("ref-%03d", i)
 		p := r.Placement(key, 2)
@@ -52,7 +52,7 @@ func TestRingPlacementDistinctAndClamped(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	shards := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
-	r := NewRing(shards, 64, 1907)
+	r := NewBalancedRing(shards, 64, 1907)
 	counts := map[string]int{}
 	const keys = 10000
 	for i := 0; i < keys; i++ {
@@ -70,8 +70,8 @@ func TestRingDistribution(t *testing.T) {
 }
 
 func TestRingMinimalDisruptionOnJoin(t *testing.T) {
-	before := NewRing([]string{"shard-0", "shard-1", "shard-2"}, 64, 1907)
-	after := NewRing([]string{"shard-0", "shard-1", "shard-2", "shard-3"}, 64, 1907)
+	before := NewBalancedRing([]string{"shard-0", "shard-1", "shard-2"}, 64, 1907)
+	after := NewBalancedRing([]string{"shard-0", "shard-1", "shard-2", "shard-3"}, 64, 1907)
 	const keys = 2000
 	moved := 0
 	for i := 0; i < keys; i++ {

@@ -4,28 +4,19 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sort"
+	"strconv"
 )
 
-// This file adds arc accounting and a skew-corrected ring constructor.
-// The legacy ring hashes its virtual-node positions with FNV-1a over
-// structured names ("shard-3#17"), whose weak avalanche clusters the
-// points and leaves giant unowned arcs: with a handful of nodes one of
-// them routinely owns 2x its fair share of the circle, which E21
-// observed as one provenance channel cutting visibly more blocks than
-// its siblings. NewBalancedRing fixes both causes: points (and key
-// lookups) use a full-avalanche SHA-256 position hash, and per-node
-// vnode counts are then greedily reweighted to shave the residual
-// statistical skew. Everything stays deterministic per (node set,
-// seed). NewRing's placement is untouched: existing rings — and the
-// data directories whose layout was hashed against them — keep their
-// placement bit for bit.
+// This file holds the ring's construction and arc accounting. Points
+// and key lookups use a full-avalanche SHA-256 position hash (a weak
+// hash over structured names like "shard-3#17" clusters the points and
+// leaves one shard owning up to 2x its fair share), and per-shard vnode
+// counts are then greedily reweighted to shave the residual statistical
+// skew. Everything stays deterministic per (shard set, seed).
 
-// newRingCounts builds a ring with an explicit vnode count per shard —
-// the shared core of NewRing (equal counts, legacy hash) and
-// NewBalancedRing (reweighted counts, avalanche hash).
-func newRingCounts(names []string, counts map[string]int, vnodes int, seed int64,
-	hashFn func(int64, string) uint64) *Ring {
-	r := &Ring{shards: names, vnodes: vnodes, seed: seed, hashFn: hashFn}
+// newRingCounts builds a ring with an explicit vnode count per shard.
+func newRingCounts(names []string, counts map[string]int, seed int64) *Ring {
+	r := &Ring{shards: names, seed: seed}
 	total := 0
 	for _, name := range names {
 		total += counts[name]
@@ -34,7 +25,7 @@ func newRingCounts(names []string, counts map[string]int, vnodes int, seed int64
 	for _, name := range names {
 		for v := 0; v < counts[name]; v++ {
 			r.points = append(r.points, ringPoint{
-				hash:  r.keyHash(name + "#" + itoa(v)),
+				hash:  avalancheHash(seed, name+"#"+strconv.Itoa(v)),
 				shard: name,
 			})
 		}
@@ -99,9 +90,7 @@ func (r *Ring) Skew() float64 {
 // most keyspace to the shard owning the least, and the best ring seen
 // wins. Deterministic per (shard set, seed) — names are sorted and
 // ties break lexically, so independent rebuilds agree, which is the
-// invariant routing correctness rests on. Placement differs from
-// NewRing's for the same inputs; callers with data laid out against a
-// legacy ring must keep using NewRing.
+// invariant routing correctness rests on.
 func NewBalancedRing(shards []string, vnodes int, seed int64) *Ring {
 	if vnodes <= 0 {
 		vnodes = 64
@@ -112,7 +101,7 @@ func NewBalancedRing(shards []string, vnodes int, seed int64) *Ring {
 	for _, name := range names {
 		counts[name] = vnodes
 	}
-	best := newRingCounts(names, counts, vnodes, seed, avalancheHash)
+	best := newRingCounts(names, counts, seed)
 	if len(names) < 2 {
 		return best
 	}
@@ -139,25 +128,10 @@ func NewBalancedRing(shards []string, vnodes int, seed int64) *Ring {
 		}
 		counts[over]--
 		counts[under]++
-		cur = newRingCounts(names, counts, vnodes, seed, avalancheHash)
+		cur = newRingCounts(names, counts, seed)
 		if skew := cur.Skew(); skew < bestSkew {
 			best, bestSkew = cur, skew
 		}
 	}
 	return best
-}
-
-// itoa avoids strconv in the hot ring-build loop for tiny ints.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -36,8 +36,6 @@ type Config struct {
 	// shard count). Every object is sealed once and installed on the R
 	// distinct shards its reference id hashes to.
 	Replicas int
-	// VNodes is the virtual-node count per shard (default 64).
-	VNodes int
 	// Seed fixes ring placement for reproducible experiments.
 	Seed int64
 	// Faults, when set, gives every shard its own fault points
@@ -46,18 +44,21 @@ type Config struct {
 	// Registry/Tracer wire telemetry (nil disables each at zero cost).
 	Registry *telemetry.Registry
 	Tracer   *telemetry.Tracer
-	// Retry bounds the per-replica write attempts before a failed
-	// replica write turns into a hint (defaults: 3 attempts, 500µs
-	// base, 5ms cap).
-	Retry resilience.Policy
+}
+
+// ringVNodes is the virtual-node count per shard before reweighting.
+const ringVNodes = 64
+
+// replicaRetry bounds the per-replica write attempts before a failed
+// replica write turns into a hint.
+var replicaRetry = resilience.Policy{
+	MaxAttempts: 3, BaseDelay: 500 * time.Microsecond, MaxDelay: 5 * time.Millisecond,
 }
 
 // Lake is the sharded Data Lake. It implements store.Lake.
 type Lake struct {
 	replicas int
-	vnodes   int
 	seed     int64
-	retry    resilience.Policy
 	faults   *faultinject.Registry
 	tracer   *telemetry.Tracer
 	met      *metrics
@@ -111,14 +112,8 @@ func New(shards []Shard, cfg Config) (*Lake, error) {
 	if cfg.Replicas > len(shards) {
 		cfg.Replicas = len(shards)
 	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = resilience.Policy{
-			MaxAttempts: 3, BaseDelay: 500 * time.Microsecond, MaxDelay: 5 * time.Millisecond,
-		}
-	}
 	l := &Lake{
-		replicas: cfg.Replicas, vnodes: cfg.VNodes, seed: cfg.Seed,
-		retry: cfg.Retry, faults: cfg.Faults, tracer: cfg.Tracer,
+		replicas: cfg.Replicas, seed: cfg.Seed, faults: cfg.Faults, tracer: cfg.Tracer,
 		shards:   make(map[string]*store.DataLake, len(shards)),
 		hints:    make(map[string]map[string]store.Sealed),
 		pumpStop: make(chan struct{}),
@@ -136,7 +131,7 @@ func New(shards []Shard, cfg Config) (*Lake, error) {
 		names = append(names, s.Name)
 	}
 	l.sealer = shards[0].Lake
-	l.ring = NewRing(names, cfg.VNodes, cfg.Seed)
+	l.ring = NewBalancedRing(names, ringVNodes, cfg.Seed)
 	if cfg.Registry != nil {
 		l.met = &metrics{
 			reg:          cfg.Registry,
@@ -239,7 +234,7 @@ func (l *Lake) replicate(s store.Sealed) error {
 		if shard == nil {
 			continue
 		}
-		err := resilience.Retry(context.Background(), l.retry, func(context.Context) error {
+		err := resilience.Retry(context.Background(), replicaRetry, func(context.Context) error {
 			return shard.PutSealed(s)
 		})
 		if err == nil {

@@ -509,3 +509,24 @@ func TestSecureDeleteRacesReadersOfSharedCiphertext(t *testing.T) {
 		}
 	}
 }
+
+// TestShardBalanceAtBenchShape pins what the ring buys at the shape the
+// platform runs: 4 shards × R=2 under seed 1907, random reference ids.
+// The busiest shard may hold at most 15% more objects than the mean.
+func TestShardBalanceAtBenchShape(t *testing.T) {
+	c := newCluster(t, 4, 2)
+	for i := 0; i < 4000; i++ {
+		c.put(t, fmt.Sprintf("pat-%04d", i))
+	}
+	total, max := 0, 0
+	counts := c.lake.ShardObjects()
+	for _, n := range counts {
+		total += n
+		if n > max {
+			max = n
+		}
+	}
+	if skew := float64(max) / (float64(total) / float64(len(counts))); skew > 1.15 {
+		t.Fatalf("max/mean shard objects = %.3f, want <= 1.15: %v", skew, counts)
+	}
+}

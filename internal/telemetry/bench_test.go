@@ -6,7 +6,7 @@ import (
 )
 
 func BenchmarkSpanLifecycle(b *testing.B) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0, 0, DefaultPolicy())
 	root := tr.StartRoot("bench")
 	parent := root.Context()
 	b.ResetTimer()
@@ -36,10 +36,12 @@ func BenchmarkCounterInc(b *testing.B) {
 }
 
 func BenchmarkStartRoot(b *testing.B) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0, 0, DefaultPolicy())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartRoot("bench")
+		id := sp.Context().TraceID
 		sp.End()
+		tr.FinishTrace(id)
 	}
 }

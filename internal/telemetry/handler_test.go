@@ -37,7 +37,7 @@ func TestMetricsHandlerServesRegistry(t *testing.T) {
 
 func TestHandlersRejectNonGet(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0, 0, DefaultPolicy())
 	for name, h := range map[string]http.Handler{
 		"metrics": MetricsHandler(reg),
 		"traces":  TraceHandler(tr),
@@ -60,7 +60,7 @@ func TestTraceHandlerErrorPaths(t *testing.T) {
 		t.Fatalf("nil tracer: status %d, want 404", rec.Code)
 	}
 
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0, 0, DefaultPolicy())
 	rec = httptest.NewRecorder()
 	TraceHandler(tr).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/traces/deadbeef", nil))
 	if rec.Code != http.StatusNotFound {
@@ -72,10 +72,10 @@ func TestTraceHandlerErrorPaths(t *testing.T) {
 }
 
 func TestTraceHandlerServesSpans(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0, 0, DefaultPolicy())
 	sp := tr.StartRoot("op")
-	sp.End()
 	id := sp.Context().TraceID.String()
+	sp.End()
 	rec := httptest.NewRecorder()
 	// No Go 1.22 path value set: the handler falls back to the last path
 	// segment.

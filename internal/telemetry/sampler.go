@@ -16,8 +16,7 @@ import (
 // from a FIFO store (experiment E23).
 type Policy struct {
 	// SampleRate is the keep probability for unremarkable traces
-	// (clamped to [0,1]; 1 keeps everything — the default, matching
-	// the legacy store's behavior under light load).
+	// (clamped to [0,1]; 1 keeps everything — the default).
 	SampleRate float64
 	// SlowK pins the K slowest traces per root span name (<=0 disables
 	// the slow heap; DefaultPolicy uses 8).
@@ -31,8 +30,8 @@ type Policy struct {
 }
 
 // DefaultPolicy keeps everything except what the store can't hold:
-// SampleRate 1, SlowK 8 — a strict superset of the FIFO store's
-// retention for workloads that fit in MaxTraces.
+// SampleRate 1, SlowK 8. Policy{SampleRate: 1} with no slow heap keeps
+// the newest MaxTraces traces, evicting oldest first.
 func DefaultPolicy() Policy {
 	return Policy{SampleRate: 1, SlowK: 8, MaxPending: 4096, MaxPendingAge: 30 * time.Second}
 }
@@ -56,42 +55,14 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// NewTailTracer creates a tail-sampling tracer: spans buffer per trace
-// until FinishTrace (or the pending-age sweep), then p decides
-// retention. Store caps as in NewTracer (<=0 selects defaults).
-func NewTailTracer(maxTraces, maxSpansPerTrace int, p Policy) *Tracer {
-	t := NewTracer(maxTraces, maxSpansPerTrace)
-	t.SetPolicy(p)
-	return t
-}
-
-// SetPolicy installs (or replaces) the tail-sampling policy, switching
-// a FIFO tracer to tail mode. Already-retained traces are untouched.
+// SetPolicy replaces the tail-sampling policy. Already-retained traces
+// are untouched.
 func (t *Tracer) SetPolicy(p Policy) {
 	if t == nil {
 		return
 	}
 	p = p.withDefaults()
-	t.mu.Lock()
-	if t.pending == nil {
-		t.pending = make(map[TraceID]*pendingTrace)
-		t.slowHeaps = make(map[string][]slowEntry)
-		memoSize := t.maxTraces
-		if memoSize < 1024 {
-			memoSize = 1024
-		}
-		t.discardMemo = make(map[TraceID]struct{}, memoSize)
-		t.discardRing = make([]TraceID, memoSize)
-		t.spanPool.New = func() any { return new(Span) }
-		t.pendPool.New = func() any { return new(pendingTrace) }
-	}
-	t.mu.Unlock()
 	t.policy.Store(&p)
-}
-
-// TailSampling reports whether a tail-sampling policy is installed.
-func (t *Tracer) TailSampling() bool {
-	return t != nil && t.policy.Load() != nil
 }
 
 // pendingTrace buffers one unfinished trace's ended spans (intrusive
@@ -195,16 +166,13 @@ func (t *Tracer) sweepLocked(p *Policy, now time.Time) {
 
 // FinishTrace marks a trace complete and applies the retention policy.
 // Call it where a trace's lifecycle truly ends — the ingest worker's
-// ack, an HTTP handler's return, the watchdog tick. No-op in FIFO mode,
-// for the zero ID, and for traces with no buffered spans.
+// ack, an HTTP handler's return, the watchdog tick. No-op for the zero
+// ID and for traces with no buffered spans.
 func (t *Tracer) FinishTrace(id TraceID) {
 	if t == nil || id.IsZero() {
 		return
 	}
 	p := t.policy.Load()
-	if p == nil {
-		return
-	}
 	t.mu.Lock()
 	if pt, ok := t.pending[id]; ok {
 		t.finalizeLocked(p, pt)
@@ -219,9 +187,6 @@ func (t *Tracer) FlushPending() {
 		return
 	}
 	p := t.policy.Load()
-	if p == nil {
-		return
-	}
 	t.mu.Lock()
 	for t.pendHead != nil {
 		t.finalizeLocked(p, t.pendHead)
@@ -349,9 +314,6 @@ func (t *Tracer) dropSlowEntryLocked(rootName string, id TraceID) {
 // ring) so straggler spans are dropped instead of resurrecting a
 // one-span ghost of a trace the policy already rejected.
 func (t *Tracer) memoDiscardLocked(id TraceID) {
-	if t.discardRing == nil {
-		return
-	}
 	old := t.discardRing[t.discardIdx]
 	if !old.IsZero() {
 		delete(t.discardMemo, old)

@@ -19,7 +19,7 @@ func finishOne(tr *Tracer, rootName string) string {
 }
 
 func TestTailRetainsErrorTraces(t *testing.T) {
-	tr := NewTailTracer(0, 0, Policy{SampleRate: 0, SlowK: 0})
+	tr := NewTracer(0, 0, Policy{SampleRate: 0, SlowK: 0})
 	root := tr.StartRoot("op")
 	sc := root.Context()
 	child := tr.StartSpan("stage", sc)
@@ -47,7 +47,7 @@ func TestTailRetainsErrorTraces(t *testing.T) {
 }
 
 func TestTailPinsTopKSlowest(t *testing.T) {
-	tr := NewTailTracer(0, 0, Policy{SampleRate: 0, SlowK: 2})
+	tr := NewTracer(0, 0, Policy{SampleRate: 0, SlowK: 2})
 	base := time.Unix(1000, 0)
 
 	// Three traces of 10ms, 30ms, 20ms wall: K=2 keeps 30ms and 20ms.
@@ -92,14 +92,14 @@ func TestTailPinsTopKSlowest(t *testing.T) {
 
 func TestTailProbabilisticSample(t *testing.T) {
 	// SampleRate 1 keeps everything.
-	keep := NewTailTracer(0, 0, Policy{SampleRate: 1, SlowK: 0})
+	keep := NewTracer(0, 0, Policy{SampleRate: 1, SlowK: 0})
 	for i := 0; i < 50; i++ {
 		if id := finishOne(keep, "op"); keep.Trace(id) == nil {
 			t.Fatal("SampleRate 1 discarded a trace")
 		}
 	}
 	// SampleRate 0 discards everything unremarkable.
-	drop := NewTailTracer(0, 0, Policy{SampleRate: 0, SlowK: 0})
+	drop := NewTracer(0, 0, Policy{SampleRate: 0, SlowK: 0})
 	for i := 0; i < 50; i++ {
 		if id := finishOne(drop, "op"); drop.Trace(id) != nil {
 			t.Fatal("SampleRate 0 retained a clean trace")
@@ -111,7 +111,7 @@ func TestTailProbabilisticSample(t *testing.T) {
 }
 
 func TestTailLateSpansAppendToRetained(t *testing.T) {
-	tr := NewTailTracer(0, 0, Policy{SampleRate: 1, SlowK: 0})
+	tr := NewTracer(0, 0, Policy{SampleRate: 1, SlowK: 0})
 	root := tr.StartRoot("op")
 	sc := root.Context()
 	root.End()
@@ -129,7 +129,7 @@ func TestTailLateSpansAppendToRetained(t *testing.T) {
 }
 
 func TestTailLateSpansAfterDiscardAreDropped(t *testing.T) {
-	tr := NewTailTracer(0, 0, Policy{SampleRate: 0, SlowK: 0})
+	tr := NewTracer(0, 0, Policy{SampleRate: 0, SlowK: 0})
 	root := tr.StartRoot("op")
 	sc := root.Context()
 	root.End()
@@ -146,7 +146,7 @@ func TestTailLateSpansAfterDiscardAreDropped(t *testing.T) {
 }
 
 func TestTailPendingServedBeforeFinish(t *testing.T) {
-	tr := NewTailTracer(0, 0, DefaultPolicy())
+	tr := NewTracer(0, 0, DefaultPolicy())
 	root := tr.StartRoot("op")
 	sc := root.Context()
 	child := tr.StartSpan("stage", sc)
@@ -167,7 +167,7 @@ func TestTailPendingServedBeforeFinish(t *testing.T) {
 }
 
 func TestTailPendingAgeFinalize(t *testing.T) {
-	tr := NewTailTracer(0, 0, Policy{SampleRate: 1, MaxPendingAge: time.Second})
+	tr := NewTracer(0, 0, Policy{SampleRate: 1, MaxPendingAge: time.Second})
 	now := time.Unix(2000, 0)
 	tr.SetClock(func() time.Time { return now })
 
@@ -188,7 +188,7 @@ func TestTailPendingAgeFinalize(t *testing.T) {
 }
 
 func TestTailPendingCapForcesFinalize(t *testing.T) {
-	tr := NewTailTracer(0, 0, Policy{SampleRate: 1, MaxPending: 4})
+	tr := NewTracer(0, 0, Policy{SampleRate: 1, MaxPending: 4})
 	var scs []SpanContext
 	for i := 0; i < 6; i++ {
 		root := tr.StartRoot("op")
@@ -212,7 +212,7 @@ func TestFinishTraceIdempotentAndNilSafe(t *testing.T) {
 	nilT.FinishTrace(TraceID{})
 	nilT.FlushPending()
 
-	tr := NewTailTracer(0, 0, DefaultPolicy())
+	tr := NewTracer(0, 0, DefaultPolicy())
 	tr.FinishTrace(TraceID{}) // zero ID: no-op
 	id := finishOne(tr, "op")
 	key, _ := ParseTraceID(id)
@@ -220,21 +220,12 @@ func TestFinishTraceIdempotentAndNilSafe(t *testing.T) {
 	if st := tr.Stats(); st.Finished != 1 {
 		t.Fatalf("Finished = %d, want 1", st.Finished)
 	}
-
-	// FIFO tracers ignore FinishTrace entirely.
-	fifo := NewTracer(0, 0)
-	sp := fifo.StartRoot("op")
-	sp.End()
-	fifo.FinishTrace(sp.Context().TraceID)
-	if fifo.Trace(sp.Context().TraceID.String()) == nil {
-		t.Fatal("FinishTrace disturbed a FIFO tracer")
-	}
 }
 
 // TestTailEvictionPrefersUnpinned fills the store past its cap and
 // checks pinned (errored) traces survive while unpinned ones evict.
 func TestTailEvictionPrefersUnpinned(t *testing.T) {
-	tr := NewTailTracer(4, 0, Policy{SampleRate: 1, SlowK: 0})
+	tr := NewTracer(4, 0, Policy{SampleRate: 1, SlowK: 0})
 	root := tr.StartRoot("op")
 	esc := root.Context()
 	root.SetAttr("error", "boom")
@@ -255,17 +246,16 @@ func TestTailEvictionPrefersUnpinned(t *testing.T) {
 	}
 }
 
-// TestFIFOvsTailConcurrent hammers both tracer modes from concurrent
-// writers — the CI -race stress target for the retention machinery.
-func TestFIFOvsTailConcurrent(t *testing.T) {
-	for _, mode := range []string{"fifo", "tail"} {
+// TestTracerConcurrent hammers a keep-newest and a sampling policy from
+// concurrent writers — the CI -race stress target for the retention
+// machinery.
+func TestTracerConcurrent(t *testing.T) {
+	for mode, p := range map[string]Policy{
+		"keep-newest":  {SampleRate: 1},
+		"tail-sampled": {SampleRate: 0.5, SlowK: 4, MaxPending: 128},
+	} {
 		t.Run(mode, func(t *testing.T) {
-			var tr *Tracer
-			if mode == "fifo" {
-				tr = NewTracer(64, 0)
-			} else {
-				tr = NewTailTracer(64, 0, Policy{SampleRate: 0.5, SlowK: 4, MaxPending: 128})
-			}
+			tr := NewTracer(64, 0, p)
 			const workers = 16
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -296,11 +286,8 @@ func TestFIFOvsTailConcurrent(t *testing.T) {
 			if tr.StoredTraces() > 64+1 {
 				t.Fatalf("store exceeded cap: %d", tr.StoredTraces())
 			}
-			if mode == "tail" {
-				st := tr.Stats()
-				if st.Finished == 0 || st.Pending != 0 {
-					t.Fatalf("stats after flush: %+v", st)
-				}
+			if st := tr.Stats(); st.Finished == 0 || st.Pending != 0 {
+				t.Fatalf("stats after flush: %+v", st)
 			}
 		})
 	}
@@ -311,7 +298,7 @@ func TestFIFOvsTailConcurrent(t *testing.T) {
 // finish, and the whole-trace discard path must not allocate once the
 // pools reach steady state.
 func TestSpanZeroAlloc(t *testing.T) {
-	tr := NewTailTracer(64, 0, Policy{SampleRate: 0, SlowK: 0})
+	tr := NewTracer(64, 0, Policy{SampleRate: 0, SlowK: 0})
 	miniTrace := func() {
 		root := tr.StartRoot("ingest.upload")
 		sc := root.Context()

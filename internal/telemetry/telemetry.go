@@ -12,9 +12,9 @@ type Telemetry struct {
 
 // New creates an enabled Telemetry with default-sized stores and the
 // default tail-sampling policy (keep everything, pin errors and the
-// slowest roots — a superset of the legacy FIFO retention).
+// slowest roots).
 func New() *Telemetry {
-	return &Telemetry{Metrics: NewRegistry(), Tracer: NewTailTracer(0, 0, DefaultPolicy())}
+	return &Telemetry{Metrics: NewRegistry(), Tracer: NewTracer(0, 0, DefaultPolicy())}
 }
 
 // Registry returns the metrics registry (nil when disabled).

@@ -165,8 +165,8 @@ type attrKV struct{ k, v string }
 // the operation finishes; only ended spans reach the store. A nil *Span
 // is valid and does nothing, so callers never nil-check.
 //
-// In tail-sampling mode spans are pooled: once ended AND their trace
-// finished, the object is recycled. Capture Context() before End (all
+// Spans are pooled: once ended AND their trace finished, the object is
+// recycled. Capture Context() before End (all
 // production call sites do) and never touch a span after End.
 type Span struct {
 	tracer *Tracer
@@ -187,7 +187,7 @@ type Span struct {
 }
 
 // Context returns the span's identity for propagation. Capture it
-// before End in tail-sampling mode (spans are pooled after retention).
+// before End (spans are pooled after retention).
 func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
@@ -271,8 +271,7 @@ func (s *Span) toRecord(traceID string) SpanRecord {
 	return rec
 }
 
-// retainedTrace is one finished (or FIFO-stored) trace in the
-// retention store.
+// retainedTrace is one finished trace in the retention store.
 type retainedTrace struct {
 	key      TraceID
 	id       string // hex form, shared by every span record
@@ -284,10 +283,9 @@ type retainedTrace struct {
 }
 
 // Tracer creates spans and keeps a bounded in-memory store of completed
-// traces. With a Policy installed (NewTailTracer / SetPolicy) it
-// tail-samples: spans buffer per trace until the trace finishes, then
-// the policy decides retention. Without one it falls back to the legacy
-// per-span FIFO store. A nil *Tracer is valid and creates nothing.
+// traces. It tail-samples: spans buffer per trace until the trace
+// finishes, then the Policy decides retention. A nil *Tracer is valid
+// and creates nothing.
 type Tracer struct {
 	maxTraces int
 	maxPerTr  int
@@ -296,7 +294,7 @@ type Tracer struct {
 	// real clock directly — CI lints for it). Atomic so SetClock is
 	// race-free against concurrent span starts.
 	clock  atomic.Pointer[func() time.Time]
-	policy atomic.Pointer[Policy] // nil = legacy FIFO mode
+	policy atomic.Pointer[Policy]
 
 	attrDropped atomic.Uint64
 
@@ -307,7 +305,7 @@ type Tracer struct {
 	normalOrder *list.List // *retainedTrace, oldest first
 	pinnedOrder *list.List // *retainedTrace, oldest first
 
-	// Tail-sampling state (nil in FIFO mode).
+	// Tail-sampling state.
 	pending            map[TraceID]*pendingTrace
 	pendHead, pendTail *pendingTrace // insertion-ordered DLL, oldest first
 	slowHeaps          map[string][]slowEntry
@@ -333,26 +331,34 @@ const (
 	DefaultMaxSpansPerTrace = 512
 )
 
-// NewTracer creates a legacy FIFO tracer storing up to maxTraces traces
-// of up to maxSpansPerTrace spans each (<=0 selects the defaults).
-// Spans record individually as they end and whole traces evict FIFO —
-// the pre-tail-sampling behavior, kept as the A arm of experiment E23.
-func NewTracer(maxTraces, maxSpansPerTrace int) *Tracer {
+// NewTracer creates a tail-sampling tracer storing up to maxTraces
+// traces of up to maxSpansPerTrace spans each (<=0 selects the
+// defaults): spans buffer per trace until FinishTrace (or the
+// pending-age sweep), then p decides retention.
+func NewTracer(maxTraces, maxSpansPerTrace int, p Policy) *Tracer {
 	if maxTraces <= 0 {
 		maxTraces = DefaultMaxTraces
 	}
 	if maxSpansPerTrace <= 0 {
 		maxSpansPerTrace = DefaultMaxSpansPerTrace
 	}
+	memoSize := max(maxTraces, 1024)
 	t := &Tracer{
 		maxTraces:   maxTraces,
 		maxPerTr:    maxSpansPerTrace,
 		retained:    make(map[TraceID]*retainedTrace),
 		normalOrder: list.New(),
 		pinnedOrder: list.New(),
+		pending:     make(map[TraceID]*pendingTrace),
+		slowHeaps:   make(map[string][]slowEntry),
+		discardMemo: make(map[TraceID]struct{}, memoSize),
+		discardRing: make([]TraceID, memoSize),
 	}
+	t.spanPool.New = func() any { return new(Span) }
+	t.pendPool.New = func() any { return new(pendingTrace) }
 	clock := time.Now
 	t.clock.Store(&clock)
+	t.SetPolicy(p)
 	return t
 }
 
@@ -398,14 +404,7 @@ func (t *Tracer) StartSpanAt(name string, parent SpanContext, start time.Time) *
 }
 
 func (t *Tracer) start(name string, parent SpanContext, start time.Time) *Span {
-	var s *Span
-	if t.policy.Load() != nil {
-		s = t.spanPool.Get().(*Span)
-	} else {
-		// Legacy FIFO mode never pools: pre-tail callers may read
-		// Context() after End, which pooling would make unsafe.
-		s = new(Span)
-	}
+	s := t.spanPool.Get().(*Span)
 	s.tracer = t
 	s.traceID = parent.TraceID
 	s.spanID = newSpanID()
@@ -435,8 +434,7 @@ func (t *Tracer) recycleSpan(s *Span) {
 	t.spanPool.Put(s)
 }
 
-// record stores a completed span: buffered per trace in tail mode,
-// immediately retained in FIFO mode.
+// record buffers a completed span into its trace.
 func (t *Tracer) record(s *Span) {
 	if t == nil {
 		return
@@ -447,34 +445,9 @@ func (t *Tracer) record(s *Span) {
 	if s.end.IsZero() {
 		s.end = now
 	}
-	if p == nil {
-		t.recordFIFOLocked(s)
-	} else {
-		t.recordTailLocked(p, s, now)
-		t.sweepLocked(p, now)
-	}
+	t.recordTailLocked(p, s, now)
+	t.sweepLocked(p, now)
 	t.mu.Unlock()
-}
-
-// recordFIFOLocked is the legacy path: convert and append immediately,
-// evicting the oldest trace when the store is full.
-func (t *Tracer) recordFIFOLocked(s *Span) {
-	rt, ok := t.retained[s.traceID]
-	if !ok {
-		for len(t.retained) >= t.maxTraces {
-			if !t.evictOneLocked() {
-				break
-			}
-		}
-		rt = &retainedTrace{key: s.traceID, id: s.traceID.String(), rootName: s.name}
-		rt.elem = t.normalOrder.PushBack(rt)
-		t.retained[s.traceID] = rt
-	}
-	if len(rt.spans) >= t.maxPerTr {
-		t.dropped++
-		return
-	}
-	rt.spans = append(rt.spans, s.toRecord(rt.id))
 }
 
 // evictOneLocked removes the oldest evictable trace — unpinned first,

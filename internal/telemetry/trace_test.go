@@ -26,7 +26,7 @@ func TestNilTracerIsInert(t *testing.T) {
 }
 
 func TestSpanParentLinks(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0, 0, DefaultPolicy())
 	root := tr.StartRoot("pipeline")
 	ctx := root.Context()
 	if !ctx.Valid() {
@@ -65,10 +65,10 @@ func TestSpanParentLinks(t *testing.T) {
 }
 
 func TestStartSpanWithInvalidParentStartsRoot(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0, 0, DefaultPolicy())
 	sp := tr.StartSpan("orphan", SpanContext{})
-	sp.End()
 	ctx := sp.Context()
+	sp.End()
 	if !ctx.Valid() {
 		t.Fatal("orphan got no trace")
 	}
@@ -78,13 +78,13 @@ func TestStartSpanWithInvalidParentStartsRoot(t *testing.T) {
 	}
 }
 
+// TestTraceEvictionFIFO pins the keep-newest policy: with no slow heap
+// and every trace kept, a full store evicts its oldest trace first.
 func TestTraceEvictionFIFO(t *testing.T) {
-	tr := NewTracer(2, 0)
+	tr := NewTracer(2, 0, Policy{SampleRate: 1})
 	var ids []string
 	for i := 0; i < 3; i++ {
-		sp := tr.StartRoot("r")
-		sp.End()
-		ids = append(ids, sp.Context().TraceID.String())
+		ids = append(ids, finishOne(tr, "r"))
 	}
 	if got := tr.Trace(ids[0]); got != nil {
 		t.Fatal("oldest trace not evicted")
@@ -97,13 +97,14 @@ func TestTraceEvictionFIFO(t *testing.T) {
 }
 
 func TestSpanCapPerTrace(t *testing.T) {
-	tr := NewTracer(0, 2)
+	tr := NewTracer(0, 2, DefaultPolicy())
 	root := tr.StartRoot("r")
+	sc := root.Context()
 	root.End()
 	for i := 0; i < 3; i++ {
-		tr.StartSpan("s", root.Context()).End()
+		tr.StartSpan("s", sc).End()
 	}
-	if got := len(tr.Trace(root.Context().TraceID.String())); got != 2 {
+	if got := len(tr.Trace(sc.TraceID.String())); got != 2 {
 		t.Fatalf("stored %d spans, want cap 2", got)
 	}
 	if tr.Dropped() != 2 {
@@ -112,11 +113,12 @@ func TestSpanCapPerTrace(t *testing.T) {
 }
 
 func TestEndIsIdempotent(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0, 0, DefaultPolicy())
 	sp := tr.StartRoot("once")
+	id := sp.Context().TraceID.String()
 	sp.End()
-	sp.End()
-	if got := len(tr.Trace(sp.Context().TraceID.String())); got != 1 {
+	sp.End() // the trace is still pending, so the span is not yet recycled
+	if got := len(tr.Trace(id)); got != 1 {
 		t.Fatalf("recorded %d times, want 1", got)
 	}
 }
@@ -148,7 +150,7 @@ func TestStageBreakdownSelfTime(t *testing.T) {
 }
 
 func TestStartSpanAtBackdatesStart(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0, 0, DefaultPolicy())
 	start := time.Now().Add(-time.Second)
 	parent := SpanContext{TraceID: newTraceID(), SpanID: newSpanID()}
 	sp := tr.StartSpanAt("bus.hop", parent, start)
@@ -166,19 +168,20 @@ func TestStartSpanAtBackdatesStart(t *testing.T) {
 }
 
 // TestEvictionAndDropCounters forces both overflow paths of the span
-// store and checks the honesty counters: whole-trace FIFO eviction and
-// the per-trace span cap each leave a trail, so trace-completeness
-// claims (E16) can be audited against them.
+// store and checks the honesty counters: whole-trace eviction and the
+// per-trace span cap each leave a trail, so trace-completeness claims
+// (E16) can be audited against them.
 func TestEvictionAndDropCounters(t *testing.T) {
-	tr := NewTracer(2, 2)
+	tr := NewTracer(2, 2, Policy{SampleRate: 1})
 	if tr.EvictedTraces() != 0 || tr.Dropped() != 0 {
 		t.Fatal("fresh tracer reports losses")
 	}
-	var roots []*Span
+	var newest SpanContext
 	for i := 0; i < 4; i++ {
 		sp := tr.StartRoot("r")
+		newest = sp.Context()
 		sp.End()
-		roots = append(roots, sp)
+		tr.FinishTrace(newest.TraceID)
 	}
 	if got := tr.EvictedTraces(); got != 2 {
 		t.Fatalf("EvictedTraces = %d, want 2 (4 traces through a 2-trace store)", got)
@@ -188,7 +191,7 @@ func TestEvictionAndDropCounters(t *testing.T) {
 	}
 	// Overflow the newest trace's span cap: 2 stored + root = cap hit.
 	for i := 0; i < 3; i++ {
-		tr.StartSpan("s", roots[3].Context()).End()
+		tr.StartSpan("s", newest).End()
 	}
 	if got := tr.Dropped(); got != 2 {
 		t.Fatalf("Dropped = %d, want 2", got)
