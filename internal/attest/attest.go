@@ -98,14 +98,6 @@ func (s *Service) EnrollTPM(name string, ak hckrypto.Verifier) {
 	}
 }
 
-// Enrolled reports whether a TPM is known.
-func (s *Service) Enrolled(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.aks[name]
-	return ok
-}
-
 // SetGoldenValue records the approved PCR value for one layer of one
 // platform. Change Management calls this when a change is approved
 // ("the CM service accordingly updates the Attestation Service regarding

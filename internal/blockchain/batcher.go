@@ -38,7 +38,7 @@ var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 type BatcherStats struct {
 	Commits   uint64 // group commits issued (including singletons)
 	Txs       uint64 // transactions acknowledged through the batcher
-	Fallbacks uint64 // group commits that fell back to per-tx submission
+	Fallbacks uint64 // group commits that fell back to individual submission
 }
 
 // MeanBatchSize is transactions per commit (0 before the first commit).
@@ -62,7 +62,7 @@ type pendingTx struct {
 // single transactions and a committer goroutine commits whatever is
 // queued the moment the previous commit returns: a lone transaction on
 // an idle batcher commits at once, and arrivals during an in-flight
-// commit form the next group (one SubmitGroupCtx call, result fanned
+// commit form the next group (one SubmitBatchCtx call, result fanned
 // back to every waiter). There is no timer — group size follows load.
 // Per-caller semantics are unchanged — each Submit returns its
 // transaction's own success or failure — while endorsement and ordering
@@ -125,15 +125,14 @@ func NewBatcher(net *Network, cfg BatcherConfig) *Batcher {
 	return b
 }
 
-// Submit enqueues one transaction and blocks until its group commits
-// (ingest.Ledger).
+// Submit enqueues one transaction and blocks until its group commits.
 func (b *Batcher) Submit(tx Transaction, timeout time.Duration) error {
 	return b.SubmitCtx(tx, timeout, telemetry.SpanContext{})
 }
 
 // SubmitCtx is Submit continuing a caller's trace: the wait for the
 // group commit appears as a ledger.batch-wait span under parent
-// (ingest.TracedLedger).
+// (ingest.Ledger).
 func (b *Batcher) SubmitCtx(tx Transaction, timeout time.Duration, parent telemetry.SpanContext) error {
 	p := &pendingTx{tx: tx, timeout: timeout, parent: parent, done: make(chan error, 1)}
 	sp := b.tracer().StartSpan("ledger.batch-wait", parent)
@@ -255,11 +254,11 @@ func (b *Batcher) take() []*pendingTx {
 	return batch
 }
 
-// commit submits one group and fans the result back to each waiter. A
-// failed group falls back to individual submission so one poison
-// transaction cannot fail its neighbors; the ledger's append-time
-// dedup by transaction ID keeps this exactly-once even if the group
-// commit landed after its timeout.
+// commit submits one group — a lone waiter is a group of one — and fans
+// the result back to each waiter. A failed group of several falls back
+// to individual submission so one poison transaction cannot fail its
+// neighbors; the ledger's append-time dedup by transaction ID keeps this
+// exactly-once even if the group commit landed after its timeout.
 func (b *Batcher) commit(batch []*pendingTx) {
 	txs := make([]Transaction, len(batch))
 	var timeout time.Duration
@@ -273,24 +272,28 @@ func (b *Batcher) commit(batch []*pendingTx) {
 	sc := sp.Context()
 	sp.SetAttr("network", b.net.Name())
 	sp.SetAttr("batch", strconv.Itoa(len(batch)))
-	start := time.Now()
+	// A lone waiter's submit continues its own trace; a group's nests
+	// under the group-commit span.
+	parent := sc
 	if len(batch) == 1 {
-		batch[0].size = 1
-		batch[0].done <- b.net.SubmitCtx(txs[0], timeout, batch[0].parent)
-	} else if err := b.net.SubmitGroupCtx(txs, timeout, sc); err == nil {
-		for _, p := range batch {
-			p.size = len(batch)
-			p.done <- nil
-		}
-	} else {
+		parent = batch[0].parent
+	}
+	start := time.Now()
+	err := b.net.SubmitBatchCtx(txs, timeout, parent)
+	fallback := err != nil && len(batch) > 1
+	if fallback {
 		sp.SetAttr("fallback", err.Error())
 		b.fallbacks.Add(1)
 		if b.met != nil {
 			b.met.fallbacks.Inc()
 		}
-		for _, p := range batch {
-			p.size = len(batch)
+	}
+	for _, p := range batch {
+		p.size = len(batch)
+		if fallback {
 			p.done <- b.net.SubmitCtx(p.tx, p.timeout, p.parent)
+		} else {
+			p.done <- err
 		}
 	}
 	b.commits.Add(1)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"healthcloud/internal/hckrypto"
 	"healthcloud/internal/telemetry"
 )
 
@@ -422,20 +423,22 @@ func TestBatcherTelemetry(t *testing.T) {
 	}
 }
 
-// TestParallelEndorseMatchesSerialSemantics pins the parallel EndorseAll
-// behavior: the policy is satisfied with exactly policyK endorsements, a
-// rejecting fast-path peer is replaced by the serial fallback peer, and
-// a universally rejected tx returns the rejection reason.
+// TestParallelEndorseMatchesSerialSemantics pins the parallel
+// endorseGroup behavior: the policy is satisfied with exactly policyK
+// endorsements, a rejecting fast-path peer is replaced by the serial
+// fallback peer, and a universally rejected group returns the rejection
+// reason.
 func TestParallelEndorseMatchesSerialSemantics(t *testing.T) {
 	n := newTestNetwork(t, 3, 2)
-	tx := NewTransaction(EventDataReceipt, "svc", "h", nil, nil)
-	if err := n.EndorseAll(&tx); err != nil {
+	txs := receipts(1)
+	group, err := n.endorseGroup(txs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tx.Endorsements) != 2 {
-		t.Errorf("endorsements = %d, want exactly policyK=2", len(tx.Endorsements))
+	if len(group) != 2 {
+		t.Errorf("endorsements = %d, want exactly policyK=2", len(group))
 	}
-	if err := n.checkEndorsements(&tx); err != nil {
+	if err := n.checkGroupEndorsements(txs, group); err != nil {
 		t.Errorf("parallel endorsements fail policy check: %v", err)
 	}
 
@@ -443,25 +446,78 @@ func TestParallelEndorseMatchesSerialSemantics(t *testing.T) {
 	// serial fallback must pick up peer-2 to still meet the policy.
 	n2 := newTestNetwork(t, 3, 2)
 	n2.peers["peer-0"].validate = func(tx *Transaction) error { return errors.New("no") }
-	tx2 := NewTransaction(EventDataReceipt, "svc", "h2", nil, nil)
-	if err := n2.EndorseAll(&tx2); err != nil {
+	group2, err := n2.endorseGroup(txs)
+	if err != nil {
 		t.Fatalf("fallback path: %v", err)
 	}
 	got := map[string]bool{}
-	for _, e := range tx2.Endorsements {
+	for _, e := range group2 {
 		got[e.PeerID] = true
 	}
 	if !got["peer-1"] || !got["peer-2"] || got["peer-0"] {
 		t.Errorf("fallback endorsers = %v, want peer-1+peer-2", got)
 	}
-	if err := n2.checkEndorsements(&tx2); err != nil {
+	if err := n2.checkGroupEndorsements(txs, group2); err != nil {
 		t.Errorf("fallback endorsements fail policy check: %v", err)
 	}
 
 	rejectAll := errors.New("nope")
 	n3 := newTestNetwork(t, 3, 2, WithValidation(func(tx *Transaction) error { return rejectAll }))
-	tx3 := NewTransaction(EventDataReceipt, "svc", "h3", nil, nil)
-	if err := n3.EndorseAll(&tx3); !errors.Is(err, ErrTxRejected) {
-		t.Errorf("universally rejected tx: got %v, want ErrTxRejected", err)
+	if _, err := n3.endorseGroup(txs); !errors.Is(err, ErrTxRejected) {
+		t.Errorf("universally rejected group: got %v, want ErrTxRejected", err)
+	}
+}
+
+// TestBatcherOneEndorsementFormat pins the single endorsement format: an
+// ordering entry is admitted by a group endorsement and nothing else, and
+// a lone transaction is endorsed as a group of one.
+func TestBatcherOneEndorsementFormat(t *testing.T) {
+	n := newTestNetwork(t, 3, 2)
+
+	// A fully per-transaction-endorsed entry with no group, proposed
+	// straight to the ordering cluster, commits on no peer.
+	legacy := NewTransaction(EventDataReceipt, "svc", "per-tx", nil, nil)
+	for _, id := range n.PeerIDs() {
+		sig, err := hckrypto.SignEnvelope(n.peers[id].key, legacy.Digest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy.Endorsements = append(legacy.Endorsements, Endorsement{PeerID: id, Signature: sig})
+	}
+	data, err := encodeEnvelope([]Transaction{legacy}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.cluster.ProposeAndWait(data, testTimeout); err != nil {
+		t.Fatal(err)
+	}
+
+	// A lone batcher submit commits a block whose transaction carries no
+	// endorsements, without falling back. Every pump applies entries in
+	// order, so once it is on every peer the legacy entry was judged too.
+	b := NewBatcher(n, BatcherConfig{})
+	defer b.Close()
+	lone := NewTransaction(EventDataReceipt, "svc", "lone", nil, nil)
+	if err := b.Submit(lone, testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.Commits != 1 || st.Fallbacks != 0 {
+		t.Errorf("stats = %+v, want one commit and no fallback", st)
+	}
+	for _, id := range n.PeerIDs() {
+		l := n.peers[id].Ledger()
+		if l.Committed(legacy.ID) {
+			t.Errorf("%s committed a per-transaction-endorsed entry", id)
+		}
+		blk, err := l.Block(uint64(l.Height() - 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blk.Txs) != 1 || blk.Txs[0].ID != lone.ID {
+			t.Fatalf("%s tip block = %+v, want the lone transaction", id, blk.Txs)
+		}
+		if e := blk.Txs[0].Endorsements; len(e) != 0 {
+			t.Errorf("%s: lone transaction stored %d endorsements, want 0", id, len(e))
+		}
 	}
 }

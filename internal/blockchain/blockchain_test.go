@@ -120,62 +120,63 @@ func TestLedgersConvergeIdentically(t *testing.T) {
 	}
 }
 
+// groupOf is a lone transaction as the group of one it is endorsed as.
+func groupOf(handle string) []Transaction {
+	return []Transaction{NewTransaction(EventDataReceipt, "svc", handle, nil, nil)}
+}
+
 func TestEndorsementPolicyRejectsUnderEndorsed(t *testing.T) {
 	n := newTestNetwork(t, 3, 2)
-	tx := NewTransaction(EventDataReceipt, "svc", "h", nil, nil)
-	// Hand-endorse with only one peer, bypassing EndorseAll.
+	txs := groupOf("h")
+	// Hand-endorse with only one peer, bypassing endorseGroup.
 	p, _ := n.Peer("peer-0")
-	e, err := p.Endorse(&tx)
+	e, err := p.EndorseGroup(txs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.Endorsements = []Endorsement{e}
-	if err := n.checkEndorsements(&tx); !errors.Is(err, ErrNotEndorsed) {
+	if err := n.checkGroupEndorsements(txs, []Endorsement{e}); !errors.Is(err, ErrNotEndorsed) {
 		t.Errorf("got %v, want ErrNotEndorsed", err)
 	}
 }
 
 func TestEndorsementDuplicatesDontCount(t *testing.T) {
 	n := newTestNetwork(t, 3, 2)
-	tx := NewTransaction(EventDataReceipt, "svc", "h", nil, nil)
+	txs := groupOf("h")
 	p, _ := n.Peer("peer-0")
-	e, err := p.Endorse(&tx)
+	e, err := p.EndorseGroup(txs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.Endorsements = []Endorsement{e, e, e}
-	if err := n.checkEndorsements(&tx); !errors.Is(err, ErrNotEndorsed) {
+	if err := n.checkGroupEndorsements(txs, []Endorsement{e, e, e}); !errors.Is(err, ErrNotEndorsed) {
 		t.Errorf("duplicate endorsements counted: %v", err)
 	}
 }
 
 func TestEndorsementForgedSignatureRejected(t *testing.T) {
 	n := newTestNetwork(t, 2, 1)
-	tx := NewTransaction(EventDataReceipt, "svc", "h", nil, nil)
 	forged := Endorsement{PeerID: "peer-0", Signature: []byte("not a signature")}
-	tx.Endorsements = []Endorsement{forged}
-	if err := n.checkEndorsements(&tx); !errors.Is(err, ErrBadEndorsement) {
+	if err := n.checkGroupEndorsements(groupOf("h"), []Endorsement{forged}); !errors.Is(err, ErrBadEndorsement) {
 		t.Errorf("got %v, want ErrBadEndorsement", err)
 	}
 }
 
 func TestEndorsementUnknownPeerRejected(t *testing.T) {
 	n := newTestNetwork(t, 2, 1)
-	tx := NewTransaction(EventDataReceipt, "svc", "h", nil, nil)
-	tx.Endorsements = []Endorsement{{PeerID: "mallory", Signature: []byte("sig")}}
-	if err := n.checkEndorsements(&tx); !errors.Is(err, ErrUnknownPeer) {
+	mallory := Endorsement{PeerID: "mallory", Signature: []byte("sig")}
+	if err := n.checkGroupEndorsements(groupOf("h"), []Endorsement{mallory}); !errors.Is(err, ErrUnknownPeer) {
 		t.Errorf("got %v, want ErrUnknownPeer", err)
 	}
 }
 
 func TestTamperedTxFailsEndorsementCheck(t *testing.T) {
 	n := newTestNetwork(t, 2, 1)
-	tx := NewTransaction(EventDataReceipt, "svc", "handle-orig", nil, nil)
-	if err := n.EndorseAll(&tx); err != nil {
+	txs := groupOf("handle-orig")
+	group, err := n.endorseGroup(txs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	tx.Handle = "handle-swapped" // tamper after endorsement
-	if err := n.checkEndorsements(&tx); !errors.Is(err, ErrBadEndorsement) {
+	txs[0].Handle = "handle-swapped" // tamper after endorsement
+	if err := n.checkGroupEndorsements(txs, group); !errors.Is(err, ErrBadEndorsement) {
 		t.Errorf("got %v, want ErrBadEndorsement", err)
 	}
 }

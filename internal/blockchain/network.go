@@ -80,7 +80,6 @@ type Option func(*options)
 
 type options struct {
 	validate func(*Transaction) error
-	raftCfg  consensus.Config
 	faults   *faultinject.Registry
 	reg      *telemetry.Registry
 	tracer   *telemetry.Tracer
@@ -91,11 +90,6 @@ type options struct {
 // stand-in).
 func WithValidation(f func(*Transaction) error) Option {
 	return func(o *options) { o.validate = f }
-}
-
-// WithRaftConfig overrides ordering-cluster tuning.
-func WithRaftConfig(cfg consensus.Config) Option {
-	return func(o *options) { o.raftCfg = cfg }
 }
 
 // WithFaults installs a fault-injection registry consulted at
@@ -160,7 +154,7 @@ func NewNetwork(name string, peerIDs []string, policyK int, opts ...Option) (*Ne
 		n.keys[id] = p.Verifier()
 	}
 	// One ordering node per peer, mirroring Fabric's Raft ordering service.
-	n.cluster = consensus.NewCluster(len(n.peerIDs), o.raftCfg)
+	n.cluster = consensus.NewCluster(len(n.peerIDs), consensus.Config{})
 	n.cluster.SetTelemetry(o.reg)
 	for i, id := range n.peerIDs {
 		n.wg.Add(1)
@@ -176,70 +170,32 @@ func NewNetwork(name string, peerIDs []string, policyK int, opts ...Option) (*Ne
 func (n *Network) pump(node *consensus.Node, peer *Peer, lead bool) {
 	defer n.wg.Done()
 	for com := range node.Apply() {
+		// Every entry is one group-endorsed batch, verified all-or-nothing
+		// with one call. A malformed or under-endorsed entry — including
+		// one that carries only per-transaction endorsements — is skipped,
+		// and every peer makes the same decision, keeping ledgers identical.
 		txs, group, err := decodeBatch(com.Entry.Data)
-		if err != nil {
-			continue // malformed batches are skipped deterministically
-		}
-		var valid []Transaction
-		if len(group) > 0 {
-			// Group-endorsed batch: one set of signatures covers the
-			// whole batch, all-or-nothing. Every peer makes the same
-			// deterministic decision, keeping ledgers identical.
-			if n.checkGroupEndorsements(txs, group) == nil {
-				valid = txs
-			}
-		} else {
-			valid = txs[:0]
-			for _, tx := range txs {
-				if n.checkEndorsements(&tx) == nil {
-					valid = append(valid, tx)
-				}
-			}
-		}
-		if len(valid) > 0 {
-			// A commit can now fail for real: with a WAL attached, the
-			// block must be durable before the world state applies. The
-			// block is simply not committed on this peer — the submitter's
-			// commit-wait times out and the caller retries, exactly like
-			// any other transient ledger failure.
-			if blk, err := peer.Ledger().AppendBlock(valid); err != nil {
-				if n.met != nil {
-					n.met.commitErrs.Inc()
-				}
-			} else if lead && blk != nil {
-				n.noteBlockCut()
-			}
-		}
-	}
-}
-
-// checkEndorsements enforces the endorsement policy: at least policyK
-// distinct known peers with valid signatures over the tx digest.
-func (n *Network) checkEndorsements(tx *Transaction) error {
-	digest := tx.Digest()
-	seen := make(map[string]bool, len(tx.Endorsements))
-	for _, e := range tx.Endorsements {
-		key, ok := n.keys[e.PeerID]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownPeer, e.PeerID)
-		}
-		if seen[e.PeerID] {
+		if err != nil || n.checkGroupEndorsements(txs, group) != nil {
 			continue
 		}
-		if !hckrypto.VerifyEnvelope(key, digest, e.Signature) {
-			return ErrBadEndorsement
+		// A commit can fail for real: with a WAL attached, the block must
+		// be durable before the world state applies. The block is simply
+		// not committed on this peer — the submitter's commit-wait times
+		// out and the caller retries, exactly like any other transient
+		// ledger failure.
+		if blk, err := peer.Ledger().AppendBlock(txs); err != nil {
+			if n.met != nil {
+				n.met.commitErrs.Inc()
+			}
+		} else if lead && blk != nil {
+			n.noteBlockCut()
 		}
-		seen[e.PeerID] = true
 	}
-	if len(seen) < n.policyK {
-		return fmt.Errorf("%w: have %d, need %d", ErrNotEndorsed, len(seen), n.policyK)
-	}
-	return nil
 }
 
-// checkGroupEndorsements enforces the endorsement policy for a
-// group-endorsed batch: at least policyK distinct known peers with valid
-// signatures over the batch's GroupDigest.
+// checkGroupEndorsements enforces the endorsement policy on one ordered
+// batch: at least policyK distinct known peers with valid signatures
+// over the batch's GroupDigest.
 func (n *Network) checkGroupEndorsements(txs []Transaction, group []Endorsement) error {
 	digest := GroupDigest(txs)
 	seen := make(map[string]bool, len(group))
@@ -365,67 +321,23 @@ func NewTransaction(typ EventType, creator, handle string, dataHash []byte, meta
 	}
 }
 
-// EndorseAll collects endorsements from up to policyK peers. The happy
-// path fans out to the first policyK peers (sorted order) in parallel —
-// each endorsement is an independent signature, so the requests
-// don't serialize behind each other. If any of those peers rejects, the
-// remaining peers are tried serially in order until the policy is met.
-// Deliberately only policyK signatures are requested (not all peers):
-// endorsement work stays proportional to policy strictness, which is the
-// cost model ablation A2 pins. If the policy cannot be met the first
-// rejection reason is returned.
+// EndorseAll runs the endorse phase alone over tx as a group of one —
+// exactly what Submit would collect for it — without ordering anything.
+// tx is not modified.
 func (n *Network) EndorseAll(tx *Transaction) error {
-	if len(tx.Endorsements) >= n.policyK {
-		return nil
-	}
-	type result struct {
-		e   Endorsement
-		err error
-	}
-	k := n.policyK
-	results := make([]result, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i].e, results[i].err = n.peers[n.peerIDs[i]].Endorse(tx)
-		}(i)
-	}
-	wg.Wait()
-	var firstErr error
-	for i := 0; i < k; i++ {
-		if results[i].err != nil {
-			if firstErr == nil {
-				firstErr = results[i].err
-			}
-			continue
-		}
-		tx.Endorsements = append(tx.Endorsements, results[i].e)
-	}
-	for i := k; i < len(n.peerIDs) && len(tx.Endorsements) < n.policyK; i++ {
-		e, err := n.peers[n.peerIDs[i]].Endorse(tx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		tx.Endorsements = append(tx.Endorsements, e)
-	}
-	if len(tx.Endorsements) < n.policyK {
-		if firstErr != nil {
-			return firstErr
-		}
-		return ErrNotEndorsed
-	}
-	return nil
+	_, err := n.endorseGroup([]Transaction{*tx})
+	return err
 }
 
-// endorseGroup collects batch-level endorsements: each of the first
-// policyK peers validates every transaction and signs one GroupDigest.
-// On rejection the remaining peers are tried serially, mirroring
-// EndorseAll's fallback.
+// endorseGroup collects the endorsements for one ordering entry. The
+// first policyK peers (sorted order) each validate every transaction and
+// sign one GroupDigest in parallel — the signatures are independent, so
+// the requests don't serialize behind each other. If any of those peers
+// rejects, the remaining peers are tried serially in order until the
+// policy is met. Deliberately only policyK signatures are requested (not
+// all peers): endorsement work stays proportional to policy strictness,
+// which is the cost model ablation A2 pins. If the policy cannot be met
+// the first rejection reason is returned.
 func (n *Network) endorseGroup(txs []Transaction) ([]Endorsement, error) {
 	type result struct {
 		e   Endorsement
@@ -479,14 +391,14 @@ func (n *Network) Submit(tx Transaction, timeout time.Duration) error {
 }
 
 // SubmitCtx is Submit continuing a caller's trace: endorse, order and
-// commit-wait appear as spans under parent (ingest.TracedLedger).
+// commit-wait appear as spans under parent (ingest.Ledger).
 func (n *Network) SubmitCtx(tx Transaction, timeout time.Duration, parent telemetry.SpanContext) error {
 	return n.SubmitBatchCtx([]Transaction{tx}, timeout, parent)
 }
 
-// SubmitBatch endorses every transaction and submits them as a single
-// ordering batch (one block), then waits for commit everywhere. Batching
-// is how experiment E6 amortizes ordering cost.
+// SubmitBatch endorses the transactions as one group and submits them as
+// a single ordering entry (one block), then waits for commit everywhere.
+// Batching is how experiment E6 amortizes endorsement and ordering cost.
 func (n *Network) SubmitBatch(txs []Transaction, timeout time.Duration) error {
 	return n.SubmitBatchCtx(txs, timeout, telemetry.SpanContext{})
 }
@@ -505,23 +417,13 @@ func (n *Network) phase(parent telemetry.SpanContext, name string, h *telemetry.
 	return err
 }
 
-// SubmitBatchCtx is SubmitBatch continuing a caller's trace.
+// SubmitBatchCtx is SubmitBatch continuing a caller's trace. Each of
+// policyK peers validates every transaction but signs a single
+// GroupDigest, so endorsement cost is paid per batch, not per
+// transaction. Commit is all-or-nothing; callers that need
+// per-transaction error isolation (the Batcher) fall back to individual
+// submission on error.
 func (n *Network) SubmitBatchCtx(txs []Transaction, timeout time.Duration, parent telemetry.SpanContext) error {
-	return n.submit(txs, timeout, parent, false)
-}
-
-// SubmitGroupCtx endorses the whole batch as a unit — each of policyK
-// peers validates every transaction but signs a single GroupDigest —
-// then orders and commit-waits like SubmitBatchCtx. This is the
-// group-commit fast path used by the Batcher: endorsement cost is
-// amortized across the batch instead of paid per transaction.
-// Commit is all-or-nothing; callers that need per-transaction error
-// isolation (the Batcher) fall back to individual submission on error.
-func (n *Network) SubmitGroupCtx(txs []Transaction, timeout time.Duration, parent telemetry.SpanContext) error {
-	return n.submit(txs, timeout, parent, true)
-}
-
-func (n *Network) submit(txs []Transaction, timeout time.Duration, parent telemetry.SpanContext, group bool) error {
 	if len(txs) == 0 {
 		return nil
 	}
@@ -531,13 +433,10 @@ func (n *Network) submit(txs []Transaction, timeout time.Duration, parent teleme
 	sp := n.tracer.StartSpan("ledger.submit", parent)
 	sp.SetAttr("network", n.name)
 	sp.SetAttr("batch", strconv.Itoa(len(txs)))
-	if group {
-		sp.SetAttr("group", "true")
-	}
 	if n.met != nil {
 		n.met.submits.Inc()
 	}
-	err := n.submitPhases(txs, timeout, sp.Context(), group)
+	err := n.submitPhases(txs, timeout, sp.Context())
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		if n.met != nil {
@@ -550,31 +449,21 @@ func (n *Network) submit(txs []Transaction, timeout time.Duration, parent teleme
 
 // submitPhases runs endorse → order → commit-wait, each as a traced
 // phase so the per-stage breakdown can attribute ordering overhead.
-func (n *Network) submitPhases(txs []Transaction, timeout time.Duration, pctx telemetry.SpanContext, group bool) error {
+func (n *Network) submitPhases(txs []Transaction, timeout time.Duration, pctx telemetry.SpanContext) error {
 	var eh, oh, ch *telemetry.Histogram
 	if n.met != nil {
 		eh, oh, ch = n.met.endorse, n.met.order, n.met.commitWait
 	}
-	var groupEndos []Endorsement
-	if err := n.phase(pctx, "ledger.endorse", eh, func() error {
-		if group {
-			endos, err := n.endorseGroup(txs)
-			if err != nil {
-				return fmt.Errorf("blockchain: endorsing group of %d: %w", len(txs), err)
-			}
-			groupEndos = endos
-			return nil
-		}
-		for i := range txs {
-			if err := n.EndorseAll(&txs[i]); err != nil {
-				return fmt.Errorf("blockchain: endorsing %s: %w", txs[i].ID, err)
-			}
+	var group []Endorsement
+	if err := n.phase(pctx, "ledger.endorse", eh, func() (err error) {
+		if group, err = n.endorseGroup(txs); err != nil {
+			return fmt.Errorf("blockchain: endorsing group of %d: %w", len(txs), err)
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
-	data, err := encodeEnvelope(txs, groupEndos)
+	data, err := encodeEnvelope(txs, group)
 	if err != nil {
 		return err
 	}

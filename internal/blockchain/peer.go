@@ -25,12 +25,6 @@ type Peer struct {
 	ledger *Ledger
 }
 
-// NewPeer creates a peer with a fresh signing identity under the
-// platform's default signature scheme.
-func NewPeer(id string, validate func(*Transaction) error) (*Peer, error) {
-	return NewPeerWithScheme(id, hckrypto.DefaultScheme, validate)
-}
-
 // NewPeerWithScheme creates a peer whose endorsement identity uses the
 // given signature scheme. Networks replaying chains endorsed under an
 // older scheme pin it here; new networks take the default.
@@ -51,26 +45,12 @@ func (p *Peer) Scheme() hckrypto.Scheme { return p.key.Scheme() }
 // Verifier returns the peer's public endorsement-verification key.
 func (p *Peer) Verifier() hckrypto.Verifier { return p.key.Verifier() }
 
-// Endorse validates the transaction against the peer's rules and signs
-// its digest. This is the "endorse" phase of the lifecycle.
-func (p *Peer) Endorse(tx *Transaction) (Endorsement, error) {
-	if p.validate != nil {
-		if err := p.validate(tx); err != nil {
-			return Endorsement{}, fmt.Errorf("%w: %s: %v", ErrTxRejected, p.id, err)
-		}
-	}
-	sig, err := hckrypto.SignEnvelope(p.key, tx.Digest())
-	if err != nil {
-		return Endorsement{}, fmt.Errorf("blockchain: endorsing: %w", err)
-	}
-	return Endorsement{PeerID: p.id, Signature: sig}, nil
-}
-
 // EndorseGroup validates every transaction in the batch against the
 // peer's rules and signs a single GroupDigest covering all of them. This
-// is the group-commit fast path: one signature amortizes endorsement
-// cost across the whole batch while each transaction still passes the
-// peer's validation rule individually.
+// is the "endorse" phase of the lifecycle, and the only endorsement
+// format: one signature amortizes endorsement cost across the whole
+// batch while each transaction still passes the peer's validation rule
+// individually. A lone transaction is a group of one.
 func (p *Peer) EndorseGroup(txs []Transaction) (Endorsement, error) {
 	if p.validate != nil {
 		for i := range txs {

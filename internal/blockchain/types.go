@@ -43,7 +43,10 @@ const (
 
 // Transaction is one ledger record. Handle points at the off-chain
 // encrypted record; DataHash is a salted hash binding the record's
-// content without revealing it.
+// content without revealing it. Endorsements holds per-transaction
+// signatures over Digest; only chains written before group endorsement
+// became the one format carry them (they still replay and verify), and
+// no new block sets it.
 type Transaction struct {
 	ID           string            `json:"id"`
 	Type         EventType         `json:"type"`
@@ -55,7 +58,8 @@ type Transaction struct {
 	Endorsements []Endorsement     `json:"endorsements,omitempty"`
 }
 
-// Endorsement is a peer's signature over a transaction digest.
+// Endorsement is a peer's signature over a GroupDigest (or, on legacy
+// chains, over one transaction's Digest).
 type Endorsement struct {
 	PeerID    string `json:"peer_id"`
 	Signature []byte `json:"signature"`
@@ -143,20 +147,19 @@ func (b *Block) computeHash() []byte {
 	return h.Sum(nil)
 }
 
-// batch is the unit submitted to the ordering service. Group carries
-// batch-level endorsements (signatures over GroupDigest of Txs) when the
-// batch was endorsed as a unit by the group-commit path; it is empty for
-// per-transaction endorsement, keeping the wire format backward
-// compatible.
+// batch is the unit submitted to the ordering service: the transactions
+// of one entry and the group endorsements (signatures over their
+// GroupDigest) that admit it. The envelope lives only in the in-memory
+// ordering log, so it is not a durable format.
 type batch struct {
 	Txs   []Transaction `json:"txs"`
-	Group []Endorsement `json:"group,omitempty"`
+	Group []Endorsement `json:"group"`
 }
 
-// GroupDigest is the canonical hash peers sign when endorsing a batch as
-// a unit: a domain-separated hash over every transaction digest in
-// order. Binding the order means a reordered or substituted batch fails
-// verification.
+// GroupDigest is the canonical hash peers sign when endorsing an
+// ordering entry — a lone transaction is a group of one: a
+// domain-separated hash over every transaction digest in order. Binding
+// the order means a reordered or substituted batch fails verification.
 func GroupDigest(txs []Transaction) []byte {
 	h := sha256.New()
 	h.Write([]byte("blockchain:group-endorsement:v1"))
@@ -165,10 +168,6 @@ func GroupDigest(txs []Transaction) []byte {
 	h.Write(n[:])
 	writeTxDigests(h, txs)
 	return h.Sum(nil)
-}
-
-func encodeBatch(txs []Transaction) ([]byte, error) {
-	return encodeEnvelope(txs, nil)
 }
 
 func encodeEnvelope(txs []Transaction, group []Endorsement) ([]byte, error) {

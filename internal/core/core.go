@@ -508,12 +508,9 @@ const (
 	ledgerRingSeed = 2112
 )
 
-// The pipeline finds these two on its ledger by type assertion, so
-// nothing else would notice the fabric losing them.
-var (
-	_ ingest.TracedLedger  = (*multichain.Ledger)(nil)
-	_ ingest.LedgerFlusher = (*multichain.Ledger)(nil)
-)
+// The pipeline finds this on its ledger by type assertion, so nothing
+// else would notice the fabric losing it.
+var _ ingest.LedgerFlusher = (*multichain.Ledger)(nil)
 
 // wireMonitor assembles the self-monitoring layer: default dependency
 // probes over the components this instance runs, the platform SLOs

@@ -69,12 +69,14 @@ func A1JMFSourceAblation() (*Result, error) {
 
 // A2EndorsementPolicy measures what endorsement strictness costs on the
 // provenance ledger: 1-of-3 vs 2-of-3 vs 3-of-3 signatures per
-// transaction, batch size 16. The verdict compares CPU time rather than
-// wall clock: EndorseAll signs with the policyK peers in parallel, so on
-// an idle multi-core machine stricter policies hide their extra
-// signatures in concurrency — but the signature WORK (what a loaded
-// platform actually pays) still grows linearly with K, and rusage
-// measures it on any core count.
+// transaction, each submitted as its own ordering entry (a group of
+// one), so every transaction pays the full K signatures — batching would
+// divide them by the batch size and measure something else. The verdict
+// compares CPU time rather than wall clock: endorsement signs with the
+// policyK peers in parallel, so on an idle multi-core machine stricter
+// policies hide their extra signatures in concurrency — but the
+// signature WORK (what a loaded platform actually pays) still grows
+// linearly with K, and rusage measures it on any core count.
 func A2EndorsementPolicy() (*Result, error) {
 	const total = 96
 	const reps = 3 // min-of-3: CPU noise (GC, interrupts) is strictly additive
@@ -102,13 +104,10 @@ func A2EndorsementPolicy() (*Result, error) {
 				return nil, err
 			}
 			start := time.Now()
-			for sent := 0; sent < total; sent += 16 {
-				txs := make([]blockchain.Transaction, 16)
-				for i := range txs {
-					txs[i] = blockchain.NewTransaction(blockchain.EventDataReceipt, "bench",
-						fmt.Sprintf("h-%d-%d-%d", k, rep, sent+i), nil, nil)
-				}
-				if err := net.SubmitBatch(txs, 30*time.Second); err != nil {
+			for i := 0; i < total; i++ {
+				tx := blockchain.NewTransaction(blockchain.EventDataReceipt, "bench",
+					fmt.Sprintf("h-%d-%d-%d", k, rep, i), nil, nil)
+				if err := net.Submit(tx, 30*time.Second); err != nil {
 					net.Close()
 					return nil, err
 				}

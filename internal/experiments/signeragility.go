@@ -28,18 +28,20 @@ func e22Txs(n int, tag string) []blockchain.Transaction {
 	return txs
 }
 
-// e22EndorseRate times one peer endorsing every transaction serially —
-// the per-endorsement signature cost with the digesting it signs over,
-// nothing else (no ordering, no commit) — and returns ops/s.
+// e22EndorseRate times one peer endorsing every transaction serially,
+// each as a group of one — the per-endorsement signature cost with the
+// digesting it signs over, nothing else (no ordering, no commit) — and
+// returns ops/s.
 func e22EndorseRate(peer *blockchain.Peer, txs []blockchain.Transaction) (float64, error) {
 	for i := 0; i < e22Warmup; i++ {
-		if _, err := peer.Endorse(&txs[i%len(txs)]); err != nil {
+		j := i % len(txs)
+		if _, err := peer.EndorseGroup(txs[j : j+1]); err != nil {
 			return 0, err
 		}
 	}
 	start := time.Now()
 	for i := range txs {
-		if _, err := peer.Endorse(&txs[i]); err != nil {
+		if _, err := peer.EndorseGroup(txs[i : i+1]); err != nil {
 			return 0, err
 		}
 	}
@@ -53,11 +55,11 @@ func e22VerifyRate(peer *blockchain.Peer, txs []blockchain.Transaction) (float64
 	digests := make([][]byte, len(txs))
 	sigs := make([][]byte, len(txs))
 	for i := range txs {
-		e, err := peer.Endorse(&txs[i])
+		e, err := peer.EndorseGroup(txs[i : i+1])
 		if err != nil {
 			return 0, err
 		}
-		digests[i] = txs[i].Digest()
+		digests[i] = blockchain.GroupDigest(txs[i : i+1])
 		sigs[i] = e.Signature
 	}
 	v := peer.Verifier()

@@ -40,10 +40,6 @@ func newE23Ledger(n *blockchain.Network, seed int64, rate float64) *e23Ledger {
 		slow: make(map[string]bool)}
 }
 
-func (l *e23Ledger) Submit(tx blockchain.Transaction, timeout time.Duration) error {
-	return l.n.Submit(tx, timeout)
-}
-
 func (l *e23Ledger) SubmitCtx(tx blockchain.Transaction, timeout time.Duration, parent telemetry.SpanContext) error {
 	l.mu.Lock()
 	stall := time.Duration(0)

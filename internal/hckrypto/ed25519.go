@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/pem"
-	"errors"
 	"fmt"
 )
 
@@ -87,17 +86,4 @@ func (v *Ed25519VerifyKey) MarshalPEM() ([]byte, error) {
 		return nil, fmt.Errorf("hckrypto: marshal public key: %w", err)
 	}
 	return pem.EncodeToMemory(&pem.Block{Type: "PUBLIC KEY", Bytes: der}), nil
-}
-
-// ParseEd25519VerifyKeyPEM decodes a PEM Ed25519 public key.
-func ParseEd25519VerifyKeyPEM(data []byte) (*Ed25519VerifyKey, error) {
-	v, err := ParseVerifierPEM(data)
-	if err != nil {
-		return nil, err
-	}
-	ek, ok := v.(*Ed25519VerifyKey)
-	if !ok {
-		return nil, errors.New("hckrypto: not an Ed25519 public key")
-	}
-	return ek, nil
 }

@@ -3,7 +3,6 @@ package hckrypto
 import (
 	"crypto/cipher"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -255,15 +254,6 @@ func NewUUID() string {
 	b[6] = (b[6] & 0x0f) | 0x40 // version 4
 	b[8] = (b[8] & 0x3f) | 0x80 // variant 10
 	return fmt.Sprintf("%x-%x-%x-%x-%x", b[0:4], b[4:6], b[6:8], b[8:10], b[10:16])
-}
-
-// RandomUint64 returns a cryptographically random 64-bit value.
-func RandomUint64() uint64 {
-	var b [8]byte
-	if _, err := io.ReadFull(rand.Reader, b[:]); err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b[:])
 }
 
 func zero(b []byte) {

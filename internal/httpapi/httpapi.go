@@ -37,32 +37,22 @@ import (
 	"healthcloud/internal/telemetry"
 )
 
+// requestTimeout bounds each guarded request: handlers see a context
+// that expires after it.
+const requestTimeout = 10 * time.Second
+
 // Server is the REST front end over a platform instance.
 type Server struct {
-	p          *core.Platform
-	mux        *http.ServeMux
-	reqTimeout time.Duration
+	p   *core.Platform
+	mux *http.ServeMux
 
 	mu       sync.RWMutex
 	sessions map[string]string // bearer token -> user id
 }
 
-// Option configures the server.
-type Option func(*Server)
-
-// WithRequestTimeout bounds each guarded request: handlers see a context
-// that expires after d (default 10s).
-func WithRequestTimeout(d time.Duration) Option {
-	return func(s *Server) { s.reqTimeout = d }
-}
-
 // New builds the server and its routes.
-func New(p *core.Platform, opts ...Option) *Server {
-	s := &Server{p: p, mux: http.NewServeMux(), sessions: make(map[string]string),
-		reqTimeout: 10 * time.Second}
-	for _, opt := range opts {
-		opt(s)
-	}
+func New(p *core.Platform) *Server {
+	s := &Server{p: p, mux: http.NewServeMux(), sessions: make(map[string]string)}
 	s.mux.HandleFunc("POST /api/v1/login", s.handleLogin)
 	s.mux.HandleFunc("GET /api/v1/healthz", s.handleHealth)
 	// Admission classes per route: ingest-side writes are bulk (first to
@@ -204,7 +194,7 @@ func (s *Server) guard(resource string, action rbac.Action, class admission.Clas
 			tracer.FinishTrace(sc.TraceID)
 			hist.ObserveSinceTrace(start, sc.TraceID)
 		}()
-		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 		defer cancel()
 		r = r.WithContext(telemetry.ContextWithSpan(ctx, sc))
 		user, err := s.authenticate(r)

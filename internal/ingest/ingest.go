@@ -92,15 +92,9 @@ var (
 )
 
 // Ledger is the slice of the provenance blockchain the pipeline needs.
+// The provenance span's context is handed down so endorsement, ordering
+// and commit-wait appear as children of the ingest pipeline's trace.
 type Ledger interface {
-	Submit(tx blockchain.Transaction, timeout time.Duration) error
-}
-
-// TracedLedger is a Ledger that can continue a distributed trace: the
-// provenance span's context is handed down so endorsement, ordering and
-// commit-wait appear as children of the ingest pipeline's trace.
-type TracedLedger interface {
-	Ledger
 	SubmitCtx(tx blockchain.Transaction, timeout time.Duration, parent telemetry.SpanContext) error
 }
 
@@ -413,9 +407,10 @@ func (p *Pipeline) Start(n int) {
 // Close stops the workers (the bus subscription keeps queued messages for
 // a later pipeline generation; the paper's ingestion is durable). When
 // the ledger is a group-commit batcher, Close keeps flushing it until
-// the last worker exits: a worker blocked in the provenance stage is
-// waiting on a batch window that may be longer than any patience, so
-// without the flush loop its enqueued event would be stranded un-acked.
+// the last worker exits: a worker blocked in the provenance stage may be
+// queued behind an in-flight commit that takes longer than any patience,
+// so without the flush loop its enqueued event would be stranded
+// un-acked.
 func (p *Pipeline) Close() {
 	select {
 	case <-p.stopCh:
@@ -768,13 +763,7 @@ func (p *Pipeline) run(msg uploadMsg, pctx telemetry.SpanContext) error {
 		})
 	if p.ledger != nil {
 		if err := p.timeStage(pctx, "provenance", func(sc telemetry.SpanContext) error {
-			if tl, ok := p.ledger.(TracedLedger); ok {
-				if lerr := tl.SubmitCtx(tx, 10*time.Second, sc); lerr != nil {
-					return fmt.Errorf("ledger: %w", lerr) // transient
-				}
-				return nil
-			}
-			if lerr := p.ledger.Submit(tx, 10*time.Second); lerr != nil {
+			if lerr := p.ledger.SubmitCtx(tx, 10*time.Second, sc); lerr != nil {
 				return fmt.Errorf("ledger: %w", lerr) // transient
 			}
 			return nil
@@ -827,7 +816,7 @@ func (p *Pipeline) recordLedger(typ blockchain.EventType, handle string, hash []
 		return
 	}
 	tx := blockchain.NewTransaction(typ, "ingest-service", handle, hash, meta)
-	if err := p.ledger.Submit(tx, 10*time.Second); err != nil {
+	if err := p.ledger.SubmitCtx(tx, 10*time.Second, telemetry.SpanContext{}); err != nil {
 		p.log.Record(audit.Event{Level: audit.LevelError, Service: "ingest",
 			Action: "ledger-submit", Resource: handle, Err: err.Error()})
 	}

@@ -18,6 +18,7 @@ import (
 	"healthcloud/internal/hckrypto"
 	"healthcloud/internal/scan"
 	"healthcloud/internal/store"
+	"healthcloud/internal/telemetry"
 )
 
 // fakeLedger records submitted transactions.
@@ -26,7 +27,7 @@ type fakeLedger struct {
 	txs []blockchain.Transaction
 }
 
-func (f *fakeLedger) Submit(tx blockchain.Transaction, _ time.Duration) error {
+func (f *fakeLedger) SubmitCtx(tx blockchain.Transaction, _ time.Duration, _ telemetry.SpanContext) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.txs = append(f.txs, tx)
@@ -512,6 +513,6 @@ func TestTransientStoreFailureRecovers(t *testing.T) {
 
 type failingLedger struct{}
 
-func (failingLedger) Submit(blockchain.Transaction, time.Duration) error {
+func (failingLedger) SubmitCtx(blockchain.Transaction, time.Duration, telemetry.SpanContext) error {
 	return errors.New("ledger unavailable")
 }

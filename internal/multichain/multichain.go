@@ -104,7 +104,7 @@ func (c *Channel) ledger() *blockchain.Ledger {
 
 // Ledger is the multi-channel fabric. It satisfies the same write
 // interfaces as a single network or batcher (ingest.Ledger,
-// ingest.TracedLedger, ingest.LedgerFlusher, ssi.Ledger) plus a merged
+// ingest.LedgerFlusher, ssi.Ledger) plus a merged
 // read surface (Audit, satisfying ssi.LedgerQuerier), so callers swap
 // it in wherever one channel used to sit.
 type Ledger struct {
@@ -253,14 +253,14 @@ func (m *Ledger) ChannelNames() []string { return append([]string(nil), m.names.
 func (m *Ledger) Channels() []*Channel { return append([]*Channel(nil), m.chans...) }
 
 // Submit routes one transaction to its owning channel and runs the
-// full submit lifecycle there (ssi.Ledger / ingest.Ledger).
+// full submit lifecycle there (ssi.Ledger).
 func (m *Ledger) Submit(tx blockchain.Transaction, timeout time.Duration) error {
 	return m.SubmitCtx(tx, timeout, telemetry.SpanContext{})
 }
 
 // SubmitCtx is Submit continuing a caller's trace: the routing
 // decision appears as a span carrying the channel label, then the
-// channel's own submit spans nest under it (ingest.TracedLedger).
+// channel's own submit spans nest under it (ingest.Ledger).
 func (m *Ledger) SubmitCtx(tx blockchain.Transaction, timeout time.Duration, parent telemetry.SpanContext) error {
 	ch := m.byName[m.Route(RouteKey(&tx))]
 	sp := m.tracer.StartSpan("multichain.route", parent)
