@@ -83,19 +83,26 @@ func (s *Scanner) SignatureCount() int {
 
 // Scan checks a payload from a sender. It records the outcome in the
 // sender risk statistics and returns ErrMalware with findings when any
-// signature matches.
+// signature matches. The payload passes are made unlocked, against a
+// snapshot of the signature set, so concurrent scans do not queue on
+// each other; the lock is held only to read the set and to count.
 func (s *Scanner) Scan(sender string, payload []byte) ([]Finding, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.senderTotal[sender]++
+	s.mu.RLock()
+	sigs := s.signatures // AddSignature only appends: this prefix never changes
+	s.mu.RUnlock()
 	var findings []Finding
-	for _, sig := range s.signatures {
+	for _, sig := range sigs {
 		if off := bytes.Index(payload, sig.Pattern); off >= 0 {
 			findings = append(findings, Finding{Signature: sig, Offset: off})
 		}
 	}
+	s.mu.Lock()
+	s.senderTotal[sender]++
 	if len(findings) > 0 {
 		s.senderBad[sender]++
+	}
+	s.mu.Unlock()
+	if len(findings) > 0 {
 		return findings, fmt.Errorf("%w: %d finding(s), first %q", ErrMalware, len(findings), findings[0].Signature.Name)
 	}
 	return nil, nil

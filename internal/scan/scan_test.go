@@ -119,18 +119,37 @@ func TestRiskySendersOrdering(t *testing.T) {
 	}
 }
 
+// Scans run unlocked against a snapshot of the signature set, so this
+// drives them from several goroutines while signatures are still being
+// added (run under -race): counts and findings must stay exact.
 func TestConcurrentScans(t *testing.T) {
 	s := newTestScanner(t)
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			sig := Signature{Name: fmt.Sprintf("late-%d", i), Pattern: []byte(fmt.Sprintf("absent-%d", i)), Severity: "low"}
+			if err := s.AddSignature(sig); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			sender := fmt.Sprintf("s-%d", g)
 			for i := 0; i < 100; i++ {
-				if i%5 == 0 {
-					s.Scan(fmt.Sprintf("s-%d", g), []byte("<script>evil"))
-				} else {
-					s.Scan(fmt.Sprintf("s-%d", g), []byte("clean"))
+				if i%5 != 0 {
+					if f, err := s.Scan(sender, []byte("clean")); err != nil || f != nil {
+						t.Errorf("%s clean scan: findings=%v err=%v", sender, f, err)
+					}
+					continue
+				}
+				f, err := s.Scan(sender, []byte("xx<script>evil"))
+				if !errors.Is(err, ErrMalware) || len(f) != 1 || f[0].Signature.Name != "script-injection" || f[0].Offset != 2 {
+					t.Errorf("%s malware scan: findings=%v err=%v", sender, f, err)
 				}
 			}
 		}(g)
@@ -141,5 +160,8 @@ func TestConcurrentScans(t *testing.T) {
 		if n != 100 || risk != 0.2 {
 			t.Errorf("s-%d: risk=%f n=%d", g, risk, n)
 		}
+	}
+	if n := s.SignatureCount(); n != len(DefaultSignatures())+50 {
+		t.Errorf("signatures = %d, want %d", n, len(DefaultSignatures())+50)
 	}
 }

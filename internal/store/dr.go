@@ -36,14 +36,7 @@ func (d *DataLake) Snapshot() ([]byte, error) {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		rec := d.records[id]
-		snap.Records = append(snap.Records, Sealed{
-			RefID:      rec.refID,
-			KeyID:      rec.keyID,
-			Ciphertext: append([]byte(nil), rec.ciphertext...),
-			Meta:       rec.meta,
-			Deleted:    rec.deleted,
-		})
+		snap.Records = append(snap.Records, d.records[id].sealed())
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {
@@ -63,11 +56,8 @@ func (d *DataLake) Restore(data []byte) error {
 	records := make(map[string]*record, len(snap.Records))
 	for _, sr := range snap.Records {
 		records[sr.RefID] = &record{
-			refID:      sr.RefID,
-			keyID:      sr.KeyID,
-			ciphertext: append([]byte(nil), sr.Ciphertext...),
-			meta:       sr.Meta,
-			deleted:    sr.Deleted,
+			refID: sr.RefID, keyID: sr.KeyID, ciphertext: sr.Ciphertext,
+			meta: sr.Meta, deleted: sr.Deleted,
 		}
 	}
 	d.mu.Lock()

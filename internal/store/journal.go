@@ -62,7 +62,8 @@ func (d *DataLake) stageJournal(rec JournalRecord) (func() error, error) {
 // bypassing fault points, the service-time model and the journal
 // itself — the replay path internal/durable drives at open. Tombstone
 // precedence matches PutSealed: a live record never overwrites a
-// tombstone.
+// tombstone. The lake takes ownership of rec.Sealed.Ciphertext (replay
+// hands over the slice it just decoded); the caller must not reuse it.
 func (d *DataLake) ApplyJournal(rec JournalRecord) error {
 	switch rec.Op {
 	case OpPut, OpTombstone:
@@ -73,9 +74,8 @@ func (d *DataLake) ApplyJournal(rec JournalRecord) error {
 			return nil
 		}
 		d.records[s.RefID] = &record{
-			refID: s.RefID, keyID: s.KeyID,
-			ciphertext: append([]byte(nil), s.Ciphertext...),
-			meta:       s.Meta, deleted: s.Deleted,
+			refID: s.RefID, keyID: s.KeyID, ciphertext: s.Ciphertext,
+			meta: s.Meta, deleted: s.Deleted,
 		}
 		d.mu.Unlock()
 	case OpEvict:

@@ -6,15 +6,18 @@
 // and the reference-id to identity the mapping is stored in the
 // metadata").
 //
-// Records are encrypted with per-record data keys from the KMS, bound to
-// a subject (patient), so GDPR right-to-forget is implemented by
-// crypto-shredding the subject's keys (§IV-B1 "encryption-based record
-// deletion").
+// Records are deflated, then encrypted with per-record data keys from
+// the KMS, bound to a subject (patient), so GDPR right-to-forget is
+// implemented by crypto-shredding the subject's keys (§IV-B1
+// "encryption-based record deletion").
 package store
 
 import (
+	"bytes"
+	"compress/flate"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -183,17 +186,29 @@ func (d *DataLake) SetTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// Seal encrypts plaintext under a fresh per-record data key bound to
-// subject and returns the sealed record without storing it — the
-// coordinator half of a replicated write. No fault point is consulted:
-// sealing is coordinator CPU plus KMS work, not shard I/O.
+// Seal deflates plaintext, encrypts the result under a fresh
+// per-record data key bound to subject and returns the sealed record
+// without storing it — the coordinator half of a replicated write. No
+// fault point is consulted: sealing is coordinator CPU plus KMS work,
+// not shard I/O.
+//
+// Every record is deflate-then-AEAD, with no format marker: the KMS is
+// process-local, so every record this process can open was sealed by
+// it. Deflating before encryption is what shrinks the ciphertext; the
+// AEAD tag covers the deflated stream, so no checksum is needed.
 func (d *DataLake) Seal(subject string, plaintext []byte, meta Meta) (Sealed, error) {
 	keyID, dk, err := d.kms.CreateDataKey(subject, d.principal)
 	if err != nil {
 		return Sealed{}, fmt.Errorf("store: creating data key: %w", err)
 	}
 	refID := "ref-" + hckrypto.NewUUID()
-	ct, err := hckrypto.EncryptGCM(dk, plaintext, []byte(refID))
+	z := deflaters.Get().(*deflater)
+	z.buf.Reset()
+	z.w.Reset(&z.buf)
+	_, _ = z.w.Write(plaintext) // writes to a bytes.Buffer cannot fail
+	_ = z.w.Close()
+	ct, err := hckrypto.EncryptGCM(dk, z.buf.Bytes(), []byte(refID))
+	deflaters.Put(z)
 	if err != nil {
 		return Sealed{}, fmt.Errorf("store: encrypting record: %w", err)
 	}
@@ -204,9 +219,11 @@ func (d *DataLake) Seal(subject string, plaintext []byte, meta Meta) (Sealed, er
 }
 
 // Open decrypts a sealed record on behalf of principal using this
-// lake's KMS — the coordinator half of a replicated read, after quorum
-// resolution picked the authoritative copy. Like Seal it consults no
-// fault point.
+// lake's KMS and inflates it — the coordinator half of a replicated
+// read, after quorum resolution picked the authoritative copy, and the
+// tail of Get. Like Seal it consults no fault point. Only bytes that
+// passed AEAD authentication, that is bytes Seal deflated, reach the
+// inflater.
 func (d *DataLake) Open(s Sealed, principal string) ([]byte, error) {
 	if s.Deleted {
 		return nil, fmt.Errorf("%w: %s", ErrDeleted, s.RefID)
@@ -215,12 +232,47 @@ func (d *DataLake) Open(s Sealed, principal string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: unwrapping key for %s: %w", s.RefID, err)
 	}
-	pt, err := hckrypto.DecryptGCM(dk, s.Ciphertext, []byte(s.RefID))
+	zt, err := hckrypto.DecryptGCM(dk, s.Ciphertext, []byte(s.RefID))
 	if err != nil {
 		return nil, fmt.Errorf("store: decrypting %s: %w", s.RefID, err)
 	}
-	return pt, nil
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	z.src.Reset(zt)
+	if err := z.r.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return nil, fmt.Errorf("store: inflating %s: %w", s.RefID, err)
+	}
+	z.out.Reset()
+	if _, err := z.out.ReadFrom(z.r); err != nil {
+		return nil, fmt.Errorf("store: inflating %s: %w", s.RefID, err)
+	}
+	return bytes.Clone(z.out.Bytes()), nil
 }
+
+// Compressor state is large (a BestSpeed flate.Writer allocates about
+// 1.2 MB, a reader about 40 KB), so it is pooled rather than built per
+// record. Open inflates into the pooled buffer and returns an exact-size
+// copy, so a caller never holds a grown buffer's spare capacity.
+type deflater struct {
+	buf bytes.Buffer
+	w   *flate.Writer
+}
+
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser // also a flate.Resetter
+	out bytes.Buffer
+}
+
+var (
+	deflaters = sync.Pool{New: func() any {
+		w, _ := flate.NewWriter(nil, flate.BestSpeed) // errors only on a bad level
+		return &deflater{w: w}
+	}}
+	inflaters = sync.Pool{New: func() any {
+		return &inflater{r: flate.NewReader(bytes.NewReader(nil))}
+	}}
+)
 
 // Put encrypts plaintext under a fresh per-record data key bound to
 // subject and stores it, returning the reference ID. The plaintext never
@@ -294,7 +346,8 @@ func (d *DataLake) PutSealed(s Sealed) error {
 // GetSealed returns a record in sealed form, tombstones included — the
 // replica-side read that quorum resolution, repair and rebalancing are
 // built from. It pays the same fault point as Get, so a downed shard
-// fails sealed reads too.
+// fails sealed reads too. The returned Ciphertext shares the stored
+// backing array (see Sealed): callers must not write to it.
 func (d *DataLake) GetSealed(refID string) (Sealed, error) {
 	if err := d.faults.Check(d.ptGet); err != nil {
 		if m := d.met; m != nil {
@@ -309,11 +362,11 @@ func (d *DataLake) GetSealed(refID string) (Sealed, error) {
 	if !ok {
 		return Sealed{}, fmt.Errorf("%w: %s", ErrNotFound, refID)
 	}
-	return Sealed{
-		RefID: rec.refID, KeyID: rec.keyID,
-		Ciphertext: append([]byte(nil), rec.ciphertext...),
-		Meta:       rec.meta, Deleted: rec.deleted,
-	}, nil
+	return rec.sealed(), nil
+}
+
+func (r *record) sealed() Sealed {
+	return Sealed{RefID: r.refID, KeyID: r.keyID, Ciphertext: r.ciphertext, Meta: r.meta, Deleted: r.deleted}
 }
 
 // install stores a sealed record, replacing any existing copy. The
@@ -351,27 +404,16 @@ func (d *DataLake) Get(refID, principal string) ([]byte, error) {
 	// Copy the record out under the lock: SecureDelete rewrites its
 	// fields in place.
 	d.mu.RLock()
-	var rec record
+	var s Sealed
 	stored, ok := d.records[refID]
 	if ok {
-		rec = *stored
+		s = stored.sealed()
 	}
 	d.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, refID)
 	}
-	if rec.deleted {
-		return nil, fmt.Errorf("%w: %s", ErrDeleted, refID)
-	}
-	dk, err := d.kms.UnwrapDataKey(rec.keyID, principal)
-	if err != nil {
-		return nil, fmt.Errorf("store: unwrapping key for %s: %w", refID, err)
-	}
-	pt, err := hckrypto.DecryptGCM(dk, rec.ciphertext, []byte(refID))
-	if err != nil {
-		return nil, fmt.Errorf("store: decrypting %s: %w", refID, err)
-	}
-	return pt, nil
+	return d.Open(s, principal)
 }
 
 // Grant allows another principal to read a record (KMS key grant). The
