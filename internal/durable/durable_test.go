@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -552,4 +553,64 @@ func TestTornOffsetTable(t *testing.T) {
 			t.Fatalf("cut=%d: second replay n=%d trunc=%d err=%v", cut, n2, info2.TruncatedBytes, err)
 		}
 	}
+}
+
+// TestLegacyGrantFramesSkippedAndCompacted: a log written when grants
+// were journaled still opens. Replay applies its puts and tombstones and
+// skips its grant frames (a grant is an in-memory KMS capability), and
+// compaction drops them.
+func TestLegacyGrantFramesSkippedAndCompacted(t *testing.T) {
+	dir := t.TempDir()
+	var seg []byte
+	for _, payload := range []string{
+		`{"op":"put","sealed":{"ref_id":"ref-live","key_id":"k1","ciphertext":"YWJj","meta":{"tenant":"t"},"deleted":false}}`,
+		`{"op":"grant","sealed":{"ref_id":"ref-live","key_id":"k1"},"principal":"analytics"}`,
+		`{"op":"put","sealed":{"ref_id":"ref-dead","key_id":"k2","ciphertext":"ZGVm","meta":{"tenant":"t"},"deleted":false}}`,
+		`{"op":"grant","sealed":{"ref_id":"ref-dead","key_id":"k2"},"principal":"analytics"}`,
+		`{"op":"tombstone","sealed":{"ref_id":"ref-dead","key_id":"k2","meta":{"tenant":"t"},"deleted":true}}`,
+	} {
+		seg = append(seg, encodeFrame(KindLake, []byte(payload))...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	check := func(lake *store.DataLake) {
+		t.Helper()
+		if live, err := lake.GetSealed("ref-live"); err != nil || live.Deleted || string(live.Ciphertext) != "abc" {
+			t.Fatalf("live record = %+v, %v", live, err)
+		}
+		if dead, err := lake.GetSealed("ref-dead"); err != nil || !dead.Deleted {
+			t.Fatalf("tombstone = %+v, %v", dead, err)
+		}
+	}
+	lake, log := openJournaled(t, dir, Options{})
+	if n := log.ReplayInfo().Records; n != 5 {
+		t.Fatalf("replayed %d frames, want 5", n)
+	}
+	check(lake)
+
+	cs, err := log.Compact()
+	if err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if cs.InputRecords != 5 || cs.OutputRecords != 2 {
+		t.Fatalf("compaction %+v, want 5 frames in and the put + tombstone out", cs)
+	}
+	log.Close()
+	names, err := listLogFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte(`"op":"grant"`)) {
+			t.Fatalf("%s still holds a grant frame after compaction", name)
+		}
+	}
+	lake2, log2 := openJournaled(t, dir, Options{})
+	defer log2.Close()
+	check(lake2)
 }

@@ -3,7 +3,7 @@
 // framing substrate:
 //
 //   - a log-structured backend for store.DataLake: every mutation
-//     (put, tombstone, evict, grant) is appended to CRC32C-framed
+//     (put, tombstone, evict) is appended to CRC32C-framed
 //     segment files before it is acknowledged, and the in-memory index
 //     is rebuilt by replay on open;
 //   - a write-ahead log for blockchain.Ledger: every committed block

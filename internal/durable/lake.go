@@ -88,7 +88,7 @@ func (l *LakeLog) Close() error { return l.seg.Close() }
 type CompactStats struct {
 	InputRecords  int // frames read from the sealed prefix
 	OutputRecords int // frames written to the compacted file
-	Dropped       int // shadowed puts, evicted refs, moot grants
+	Dropped       int // shadowed puts, evicted refs, legacy grant frames
 }
 
 // Compact folds the sealed prefix of the log — every segment except
@@ -97,8 +97,7 @@ type CompactStats struct {
 //
 //   - older puts shadowed by a newer put or a tombstone of the same ref
 //   - evicted refs (the put and the evict marker both go)
-//   - grants for refs that are gone or tombstoned (key shredded — a
-//     grant has nothing to attach to)
+//   - grant frames, which only older logs hold and replay skips
 //
 // Tombstones themselves are KEPT: they are what stops a late hint or a
 // repair pass from resurrecting a securely-deleted record after a
@@ -160,22 +159,9 @@ func (l *LakeLog) Compact() (CompactStats, error) {
 
 	// Replay the sealed prefix. These files are immutable and were
 	// fsynced at rotation, so any bad frame here is interior corruption.
-	type refState struct {
-		final            store.JournalRecord // latest put or tombstone
-		grants           []store.JournalRecord
-		evicted, present bool
-	}
-	states := make(map[string]*refState)
-	var orderRefs []string
-	get := func(ref string) *refState {
-		st, ok := states[ref]
-		if !ok {
-			st = &refState{}
-			states[ref] = st
-			orderRefs = append(orderRefs, ref)
-		}
-		return st
-	}
+	// Each ref keeps its latest put or tombstone; an evict drops it.
+	latest := make(map[string]store.JournalRecord)
+	var order []string // refs as first put, for a deterministic output
 	for _, name := range inputs {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -191,30 +177,23 @@ func (l *LakeLog) Compact() (CompactStats, error) {
 				return cs, fmt.Errorf("%w: undecodable record in %s: %v", ErrCorrupt, name, err)
 			}
 			cs.InputRecords++
-			st := get(jr.Sealed.RefID)
-			switch jr.Op {
+			switch ref := jr.Sealed.RefID; jr.Op {
 			case store.OpPut, store.OpTombstone:
-				st.final = jr
-				st.present, st.evicted = true, false
+				if _, ok := latest[ref]; !ok {
+					order = append(order, ref)
+				}
+				latest[ref] = jr
 			case store.OpEvict:
-				st.evicted, st.present = true, false
-			case store.OpGrant:
-				st.grants = append(st.grants, jr)
+				delete(latest, ref)
 			}
 		}
 	}
 
-	// Render the survivors deterministically: first-seen ref order,
-	// final record then its surviving grants.
 	var out []store.JournalRecord
-	for _, ref := range orderRefs {
-		st := states[ref]
-		if st.evicted || !st.present {
-			continue
-		}
-		out = append(out, st.final)
-		if !st.final.Sealed.Deleted {
-			out = append(out, st.grants...)
+	for _, ref := range order {
+		if jr, ok := latest[ref]; ok {
+			out = append(out, jr)
+			delete(latest, ref) // a ref re-put after an evict is listed twice
 		}
 	}
 	cs.OutputRecords = len(out)

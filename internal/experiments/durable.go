@@ -41,7 +41,7 @@ const (
 	e20Client = "e20-client"
 	// e20TornAfter lets roughly 15–25 uploads land before the tear
 	// (each upload journals an identified + a de-identified record on
-	// each of the two replicas, plus grant frames).
+	// each of the two replicas).
 	e20TornAfter = 60
 	// e20AcksAfterWedge: the parent keeps the child alive for this many
 	// more acknowledged uploads after the wedge, so the kill provably

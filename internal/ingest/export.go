@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"healthcloud/internal/blockchain"
 	"healthcloud/internal/consent"
 	"healthcloud/internal/fhir"
+	"healthcloud/internal/store"
 )
 
 // ExportedRecord is one row of an export.
@@ -24,26 +27,16 @@ type ExportedRecord struct {
 // protect privacy"; §IV-C). The export is recorded on the provenance
 // ledger.
 func (p *Pipeline) ExportAnonymized(group, principal string) ([]ExportedRecord, error) {
-	refs := p.lake.List(p.tenant, group)
-	var out []ExportedRecord
-	table := &anonymize.Table{QuasiIDs: []string{"gender", "state", "zip"}}
-	for _, ref := range refs {
-		meta, err := p.lake.Meta(ref)
-		if err != nil || meta.ContentType != "fhir+json;deidentified" {
-			continue
-		}
-		if err := p.lake.Grant(ref, principal); err != nil {
-			return nil, fmt.Errorf("ingest: granting export access: %w", err)
-		}
-		body, err := p.lake.Get(ref, principal)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: reading %s: %w", ref, err)
-		}
-		out = append(out, ExportedRecord{RefID: ref, Bundle: body})
-		table.Rows = append(table.Rows, quasiRow(body))
+	out, err := p.exportRecords(group, "fhir+json;deidentified", principal, nil)
+	if err != nil {
+		return nil, err
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%w: no de-identified records in group %q", ErrExportDenied, group)
+	}
+	table := &anonymize.Table{QuasiIDs: []string{"gender", "state", "zip"}}
+	for _, rec := range out {
+		table.Rows = append(table.Rows, quasiRow(rec.Bundle))
 	}
 	if _, err := p.verifier.Verify(table); err != nil {
 		p.log.Record(audit.Event{Level: audit.LevelWarn, Service: "export",
@@ -64,40 +57,67 @@ func (p *Pipeline) ExportAnonymized(group, principal string) ([]ExportedRecord, 
 // principal must be the identity-map's authorized re-identification
 // service.
 func (p *Pipeline) ExportFull(group, principal string) ([]ExportedRecord, error) {
-	refs := p.lake.List(p.tenant, group)
-	var out []ExportedRecord
-	for _, ref := range refs {
-		meta, err := p.lake.Meta(ref)
-		if err != nil || meta.ContentType != "fhir+json;identified" {
-			continue
-		}
+	out, err := p.exportRecords(group, "fhir+json;identified", principal, func(ref string) (string, error) {
 		identity, err := p.idmap.Identity(ref, principal)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrExportDenied, err)
+			return "", fmt.Errorf("%w: %v", ErrExportDenied, err)
 		}
 		if err := p.consents.Check(identity, group, consent.PurposeExport); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrExportDenied, err)
+			return "", fmt.Errorf("%w: %v", ErrExportDenied, err)
 		}
-		if err := p.lake.Grant(ref, principal); err != nil {
-			return nil, fmt.Errorf("ingest: granting export access: %w", err)
-		}
-		body, err := p.lake.Get(ref, principal)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: reading %s: %w", ref, err)
-		}
-		out = append(out, ExportedRecord{RefID: ref, Identity: identity, Bundle: body})
-		p.recordLedger(blockchain.EventDataRetrieval, ref, nil, map[string]string{
-			"mode": "full", "principal": principal,
-		})
+		return identity, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%w: no identified records in group %q", ErrExportDenied, group)
+	}
+	for _, rec := range out {
+		p.recordLedger(blockchain.EventDataRetrieval, rec.RefID, nil, map[string]string{
+			"mode": "full", "principal": principal,
+		})
 	}
 	p.recordLedger(blockchain.EventExport, group, nil, map[string]string{
 		"mode": "full", "principal": principal, "records": fmt.Sprint(len(out)),
 	})
 	p.log.Record(audit.Event{Level: audit.LevelInfo, Service: "export",
 		Action: "full-export", Actor: principal, Resource: group})
+	return out, nil
+}
+
+// exportRecords reads the group's records of one content type for
+// principal, granting it each key in memory. admit, when set, vets a
+// record before the read and returns its identity. A record shredded or
+// removed since List drops out; any other error, a lost quorum say,
+// fails the export rather than silently shrinking the cohort.
+func (p *Pipeline) exportRecords(group, contentType, principal string, admit func(ref string) (string, error)) ([]ExportedRecord, error) {
+	var out []ExportedRecord
+	for _, ref := range p.lake.List(p.tenant, group) {
+		meta, err := p.lake.Meta(ref)
+		if err == nil && meta.ContentType != contentType {
+			continue
+		}
+		rec := ExportedRecord{RefID: ref}
+		if err == nil && admit != nil {
+			if rec.Identity, err = admit(ref); err != nil {
+				return nil, err
+			}
+		}
+		if err == nil {
+			err = p.lake.Grant(ref, principal)
+		}
+		if err == nil {
+			rec.Bundle, err = p.lake.Get(ref, principal)
+		}
+		if errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrDeleted) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("ingest: reading %s: %w", ref, err)
+		}
+		out = append(out, rec)
+	}
 	return out, nil
 }
 
@@ -123,19 +143,23 @@ func (p *Pipeline) Forget(patientID string) (int, error) {
 }
 
 // quasiRow extracts the quasi-identifier columns the anonymization
-// verification service checks on export.
+// verification service checks on export from the bundle's first
+// Patient entry, in one narrow decode (ingest validated the bundle).
 func quasiRow(bundleJSON []byte) anonymize.Record {
 	row := anonymize.Record{"gender": "", "state": "", "zip": ""}
-	b, err := fhir.ParseBundle(bundleJSON)
-	if err != nil {
+	var b struct {
+		Entry []struct {
+			Resource struct {
+				ResourceType, Gender string
+				Address              []fhir.Address
+			}
+		}
+	}
+	if err := json.Unmarshal(bundleJSON, &b); err != nil {
 		return row
 	}
-	resources, err := b.Resources()
-	if err != nil {
-		return row
-	}
-	for _, r := range resources {
-		if pt, ok := r.(*fhir.Patient); ok {
+	for _, e := range b.Entry {
+		if pt := e.Resource; pt.ResourceType == "Patient" {
 			row["gender"] = pt.Gender
 			if len(pt.Address) > 0 {
 				row["state"] = pt.Address[0].State

@@ -65,12 +65,25 @@ func newRig(t *testing.T) *rig {
 // and substitute the ledger before the workers start.
 func newRigWith(t *testing.T, b *bus.Bus, ledger Ledger) *rig {
 	t.Helper()
+	var lake *store.DataLake
+	r := newRigOver(t, b, ledger, func(kms *hckrypto.KMS) store.Lake {
+		lake = store.NewDataLake(kms, "svc-storage")
+		return lake
+	})
+	r.lake = lake
+	return r
+}
+
+// newRigOver builds the rig over the lake mkLake builds on the rig's
+// KMS; the returned rig's lake field is left nil.
+func newRigOver(t testing.TB, b *bus.Bus, ledger Ledger, mkLake func(*hckrypto.KMS) store.Lake) *rig {
+	t.Helper()
 	kms, err := hckrypto.NewKMS("tenant-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lake := store.NewDataLake(kms, "svc-storage")
 	t.Cleanup(b.Close)
+	lake := mkLake(kms)
 	scanner, err := scan.NewScanner(scan.DefaultSignatures()...)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +106,7 @@ func newRigWith(t *testing.T, b *bus.Bus, ledger Ledger) *rig {
 	}
 	p.Start(4)
 	t.Cleanup(p.Close)
-	return &rig{p: p, kms: kms, lake: lake, consents: deps.Consents, ledger: fake, log: deps.Log}
+	return &rig{p: p, kms: kms, consents: deps.Consents, ledger: fake, log: deps.Log}
 }
 
 // patientBundle builds and encrypts a bundle for one patient.

@@ -265,7 +265,7 @@ func (l *Lake) replicate(s store.Sealed) error {
 // stale or missing reachable replicas from the authoritative copy, and
 // decrypts on behalf of principal.
 func (l *Lake) Get(refID, principal string) ([]byte, error) {
-	s, err := l.resolve(refID, true)
+	s, err := l.resolve(refID)
 	if err != nil {
 		return nil, err
 	}
@@ -275,11 +275,11 @@ func (l *Lake) Get(refID, principal string) ([]byte, error) {
 // resolve performs the quorum read: consult every replica (reads pay
 // R sealed fetches, the full read quorum), pick the authoritative copy
 // — a tombstone beats any live copy, since deletion is always the
-// newer fact — and, when repair is set, re-install it on reachable
-// current-placement replicas that miss it or hold a stale live copy.
+// newer fact — and re-install it on reachable current-placement
+// replicas that miss it or hold a stale live copy.
 // Repairs are traced (shardlake.get → shardlake.repair spans); clean
 // reads stay span-free so hot read loops don't flood the span store.
-func (l *Lake) resolve(refID string, repair bool) (store.Sealed, error) {
+func (l *Lake) resolve(refID string) (store.Sealed, error) {
 	targets := l.readTargets(refID)
 	current := l.placement(refID)
 	copies := make(map[string]store.Sealed, len(targets))
@@ -322,9 +322,7 @@ func (l *Lake) resolve(refID string, repair bool) (store.Sealed, error) {
 		}
 		return store.Sealed{}, fmt.Errorf("%w: %s", store.ErrNotFound, refID)
 	}
-	if repair {
-		l.readRepair(refID, *best, current, copies, unreachable)
-	}
+	l.readRepair(refID, *best, current, copies, unreachable)
 	return *best, nil
 }
 
@@ -413,41 +411,51 @@ func (l *Lake) readRepair(refID string, best store.Sealed, current []string, cop
 	l.tracer.FinishTrace(sc.TraceID)
 }
 
-// Grant allows another principal to read a record. One replica
-// suffices: every copy is sealed under the same KMS key, so a grant on
-// that key covers all of them (repair included).
+// Grant allows another principal to read a record. All shards share one
+// KMS and every copy is sealed under the same key, so a grant through
+// any holder covers all of them (repair included); nothing is journaled.
 func (l *Lake) Grant(refID, principal string) error {
+	_, holder, err := l.anyCopy(refID)
+	if err != nil {
+		return err
+	}
+	return holder.Grant(refID, principal)
+}
+
+// Meta returns a record's metadata. Meta is fixed at Seal and a
+// tombstone keeps it, so any copy answers.
+func (l *Lake) Meta(refID string) (store.Meta, error) {
+	s, _, err := l.anyCopy(refID)
+	return s.Meta, err
+}
+
+// anyCopy returns the first copy of a record that a read target holds,
+// and the shard holding it: no quorum and no repair. Mid-rebalance it
+// falls back to a full scan, like resolve.
+func (l *Lake) anyCopy(refID string) (store.Sealed, *store.DataLake, error) {
 	var lastErr error
 	for _, name := range l.readTargets(refID) {
 		shard := l.shard(name)
 		if shard == nil {
 			continue
 		}
-		if err := shard.Grant(refID, principal); err == nil {
-			return nil
-		} else {
+		s, err := shard.GetSealed(refID)
+		if err == nil {
+			return s, shard, nil
+		}
+		if !errors.Is(err, store.ErrNotFound) {
 			lastErr = err
 		}
 	}
-	// Rebalance fallback, mirroring resolve.
-	if s, holder := l.scanFor(refID); s != nil {
-		if shard := l.shard(holder); shard != nil {
-			return shard.Grant(refID, principal)
+	if s, name := l.scanFor(refID); s != nil {
+		if shard := l.shard(name); shard != nil {
+			return *s, shard, nil
 		}
 	}
 	if lastErr != nil {
-		return lastErr
+		return store.Sealed{}, nil, fmt.Errorf("%w: %s: %v", ErrUnavailable, refID, lastErr)
 	}
-	return fmt.Errorf("%w: %s", store.ErrNotFound, refID)
-}
-
-// Meta returns a record's metadata from the first replica that has it.
-func (l *Lake) Meta(refID string) (store.Meta, error) {
-	s, err := l.resolve(refID, false)
-	if err != nil {
-		return store.Meta{}, err
-	}
-	return s.Meta, nil
+	return store.Sealed{}, nil, fmt.Errorf("%w: %s", store.ErrNotFound, refID)
 }
 
 // SecureDelete crypto-shreds a record everywhere: the shared data key
@@ -694,7 +702,7 @@ func (l *Lake) VerifyConvergence() (objects int, divergent []string) {
 func (l *Lake) RepairAll() int {
 	before := l.repairs.Load()
 	for _, ref := range l.allRefs() {
-		l.resolve(ref, true)
+		l.resolve(ref)
 	}
 	return int(l.repairs.Load() - before)
 }

@@ -530,3 +530,83 @@ func TestShardBalanceAtBenchShape(t *testing.T) {
 		t.Fatalf("max/mean shard objects = %.3f, want <= 1.15: %v", skew, counts)
 	}
 }
+
+// TestMetaReadsOneCopyWithoutRepair: Meta answers from the first
+// reachable copy (meta is fixed at Seal), so one replica down costs
+// nothing and nothing is repaired; with every placement down it is
+// unavailable, not missing.
+func TestMetaReadsOneCopyWithoutRepair(t *testing.T) {
+	c := newCluster(t, 3, 2)
+	ref := c.put(t, "patient-1")
+	placed := c.lake.placement(ref)
+	c.kill(placed[0])
+	if meta, err := c.lake.Meta(ref); err != nil || meta.ContentType != "test" {
+		t.Fatalf("Meta with one replica down = %+v, %v", meta, err)
+	}
+	c.heal(placed[0])
+	c.shards[placed[0]].Evict(ref) // a stale replica Get would repair
+	if meta, err := c.lake.Meta(ref); err != nil || meta.ContentType != "test" {
+		t.Fatalf("Meta with one replica missing = %+v, %v", meta, err)
+	}
+	if got := c.lake.Repairs(); got != 0 {
+		t.Errorf("Meta repaired %d replicas, want none", got)
+	}
+	if _, err := c.shards[placed[0]].GetSealed(ref); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("Meta re-installed the evicted replica: %v", err)
+	}
+	for _, name := range c.lake.Shards() {
+		c.kill(name)
+	}
+	if _, err := c.lake.Meta(ref); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("Meta with every shard down = %v, want ErrUnavailable", err)
+	}
+	for _, name := range c.lake.Shards() {
+		c.heal(name)
+	}
+	if _, err := c.lake.Meta("ref-ghost"); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("Meta of unknown ref = %v, want ErrNotFound", err)
+	}
+}
+
+// TestMetaOfTombstone: a tombstone keeps its record's meta.
+func TestMetaOfTombstone(t *testing.T) {
+	c := newCluster(t, 3, 2)
+	ref := c.put(t, "patient-1")
+	if err := c.lake.SecureDelete(ref); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := c.lake.Meta(ref)
+	if err != nil || meta.ContentType != "test" || meta.Group != "g" {
+		t.Fatalf("Meta of tombstone = %+v, %v", meta, err)
+	}
+}
+
+// TestMetaRebalanceFallback: mid-rebalance the only copy may sit on a
+// shard outside the placement; Meta finds it by scan and moves nothing.
+func TestMetaRebalanceFallback(t *testing.T) {
+	c := newCluster(t, 3, 2)
+	ref := c.put(t, "patient-1")
+	placed := c.lake.placement(ref)
+	s, err := c.shards[placed[0]].GetSealed(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outside string
+	for _, name := range c.lake.Shards() {
+		if name != placed[0] && name != placed[1] {
+			outside = name
+		}
+	}
+	if err := c.shards[outside].PutSealed(s); err != nil {
+		t.Fatal(err)
+	}
+	c.shards[placed[0]].Evict(ref)
+	c.shards[placed[1]].Evict(ref)
+	meta, err := c.lake.Meta(ref)
+	if err != nil || meta.ContentType != "test" {
+		t.Fatalf("Meta via scan = %+v, %v", meta, err)
+	}
+	if got := c.holders(ref); len(got) != 1 || got[0] != outside {
+		t.Errorf("holders after Meta = %v, want only %s", got, outside)
+	}
+}

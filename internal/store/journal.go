@@ -22,17 +22,14 @@ const (
 	// OpEvict removes a record outright (rebalance cleanup) — not a
 	// deletion; the object lives on its new shards.
 	OpEvict = "evict"
-	// OpGrant records a KMS key grant. The KMS itself is modeled as an
-	// external single-tenant system and is not persisted here; grant
-	// frames are an audit trail and a best-effort re-apply on replay.
-	OpGrant = "grant"
 )
 
-// JournalRecord is one journaled lake mutation.
+// JournalRecord is one journaled lake mutation. A key grant is not one:
+// it is an in-memory KMS capability, and the durable record of an export
+// is its ledger event and audit entry.
 type JournalRecord struct {
-	Op        string `json:"op"`
-	Sealed    Sealed `json:"sealed"`
-	Principal string `json:"principal,omitempty"`
+	Op     string `json:"op"`
+	Sealed Sealed `json:"sealed"`
 }
 
 // Journal persists lake mutations write-ahead. Append stages the
@@ -82,12 +79,9 @@ func (d *DataLake) ApplyJournal(rec JournalRecord) error {
 		d.mu.Lock()
 		delete(d.records, rec.Sealed.RefID)
 		d.mu.Unlock()
-	case OpGrant:
-		// Best-effort: after a restart the in-memory KMS is fresh (its
-		// durability belongs to the external key-management system the
-		// paper models), so a replayed grant may have no key to attach
-		// to. The frame still preserves the audit trail.
-		_ = d.kms.Grant(rec.Sealed.KeyID, rec.Principal)
+	case "grant":
+		// Only older logs hold grant frames; a grant lives in the KMS,
+		// which every open builds fresh, so there is nothing to re-apply.
 	default:
 		return fmt.Errorf("store: unknown journal op %q", rec.Op)
 	}

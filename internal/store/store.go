@@ -229,6 +229,10 @@ func (d *DataLake) Open(s Sealed, principal string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrDeleted, s.RefID)
 	}
 	dk, err := d.kms.UnwrapDataKey(s.KeyID, principal)
+	if errors.Is(err, hckrypto.ErrKeyShredded) {
+		// A shredded key is a deletion, tombstone or not.
+		return nil, fmt.Errorf("%w: %s", ErrDeleted, s.RefID)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: unwrapping key for %s: %w", s.RefID, err)
 	}
@@ -416,30 +420,17 @@ func (d *DataLake) Get(refID, principal string) ([]byte, error) {
 	return d.Open(s, principal)
 }
 
-// Grant allows another principal to read a record (KMS key grant). The
-// grant is journaled for the audit trail; the KMS itself (an external
-// system in the paper's model) is the authority for its effect.
+// Grant allows another principal to read a record: a KMS key grant,
+// held in memory and journaled nowhere (an export's durable record is
+// its ledger event).
 func (d *DataLake) Grant(refID, principal string) error {
-	d.mu.Lock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	rec, ok := d.records[refID]
 	if !ok {
-		d.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, refID)
 	}
-	keyID := rec.keyID
-	wait, err := d.stageJournal(JournalRecord{
-		Op: OpGrant, Sealed: Sealed{RefID: refID, KeyID: keyID}, Principal: principal,
-	})
-	d.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("store: journaling grant: %w", err)
-	}
-	if wait != nil {
-		if err := wait(); err != nil {
-			return fmt.Errorf("store: journaling grant: %w", err)
-		}
-	}
-	return d.kms.Grant(keyID, principal)
+	return d.kms.Grant(rec.keyID, principal)
 }
 
 // Meta returns a record's metadata (no key material, no plaintext).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -484,5 +485,57 @@ func TestSetFaultScopeRenamesPoints(t *testing.T) {
 	reg.Enable("shardlake.shard-9.put", faultinject.Fault{ErrorRate: 1})
 	if _, err := lake.Put("p", []byte("x"), Meta{Tenant: "tenant-a", Group: "g"}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Errorf("Put with scoped fault: %v", err)
+	}
+}
+
+// countingJournal counts the frames a lake stages.
+type countingJournal struct{ frames atomic.Int64 }
+
+func (j *countingJournal) Append(JournalRecord) (func() error, error) {
+	j.frames.Add(1)
+	return nil, nil
+}
+
+// TestGrantAppendsNoFrame: a grant is an in-memory KMS capability, not
+// a lake mutation, so it stages no journal frame — and still gates
+// reads the same way.
+func TestGrantAppendsNoFrame(t *testing.T) {
+	lake, _ := newTestLake(t)
+	j := &countingJournal{}
+	lake.SetJournal(j)
+	ref, err := lake.Put("patient-1", []byte("phi"), Meta{Tenant: "tenant-a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := j.frames.Load()
+	if err := lake.Grant(ref, "svc-analytics"); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.frames.Load(); got != before {
+		t.Errorf("Grant staged %d journal frames, want 0", got-before)
+	}
+	if _, err := lake.Get(ref, "svc-analytics"); err != nil {
+		t.Errorf("granted read: %v", err)
+	}
+	if _, err := lake.Get(ref, "svc-other"); !errors.Is(err, hckrypto.ErrAccessDenied) {
+		t.Errorf("ungranted read: got %v, want ErrAccessDenied", err)
+	}
+	if err := lake.Grant("ref-ghost", "svc-analytics"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("grant on unknown ref: got %v, want ErrNotFound", err)
+	}
+}
+
+// TestShreddedKeyReadsAsDeleted: a record whose key was shredded
+// (right-to-forget shreds a subject's keys without tombstoning every
+// copy) reads as deleted, tombstone or not.
+func TestShreddedKeyReadsAsDeleted(t *testing.T) {
+	lake, kms := newTestLake(t)
+	ref, err := lake.Put("patient-1", []byte("phi"), Meta{Tenant: "tenant-a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kms.ShredSubject("patient-1")
+	if _, err := lake.Get(ref, "svc-storage"); !errors.Is(err, ErrDeleted) {
+		t.Errorf("read after key shred: got %v, want ErrDeleted", err)
 	}
 }
